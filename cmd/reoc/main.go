@@ -138,10 +138,10 @@ func main() {
 		for i, a := range auts {
 			states[i] = a.Initial
 		}
-		joints := ca.ExpandJoint(auts, states, ca.ExpandConnected)
-		fmt.Printf("# %s (N=%d): %d joint transitions from the initial composite state\n", name, n, len(joints))
-		for _, j := range joints {
-			t := &ca.Transition{Sync: j.Sync, Guards: j.Guards, Acts: j.Acts}
+		steps := ca.NewExpander(auts, ca.ExpandConnected).Expand(states, nil)
+		fmt.Printf("# %s (N=%d): %d joint transitions from the initial composite state\n", name, n, len(steps))
+		for _, c := range steps {
+			t := &ca.Transition{Sync: c.Sync, Guards: c.Guards, Acts: c.Acts}
 			pl := ca.CompilePlan(t, u.DirOf)
 			fmt.Printf("  %s\n", pl.Dump(u))
 		}

@@ -71,13 +71,11 @@ func (b BitSet) AndNotInto(o BitSet) {
 	}
 }
 
-// And returns a fresh bit set holding b & o.
-func (b BitSet) And(o BitSet) BitSet {
-	c := make(BitSet, len(b))
+// SetAndNot sets b = x &^ y in place; b may alias x.
+func (b BitSet) SetAndNot(x, y BitSet) {
 	for i := range b {
-		c[i] = b[i] & o[i]
+		b[i] = x[i] &^ y[i]
 	}
-	return c
 }
 
 // Or returns a fresh bit set holding b | o.
@@ -114,20 +112,6 @@ func (b BitSet) Intersects(o BitSet) bool {
 		}
 	}
 	return false
-}
-
-// SubsetOf reports whether every bit of b is also set in o.
-func (b BitSet) SubsetOf(o BitSet) bool {
-	for i := range b {
-		var w uint64
-		if i < len(o) {
-			w = o[i]
-		}
-		if b[i]&^w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // MaskedSubsetOf reports whether b∩mask ⊆ of, without allocating.

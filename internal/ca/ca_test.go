@@ -48,20 +48,24 @@ func TestBitSetOps(t *testing.T) {
 	}
 	a := u.SetOf(ids[0], ids[1], ids[65])
 	b := u.SetOf(ids[1], ids[65], ids[69])
-	if got := a.And(b).Count(); got != 2 {
-		t.Fatalf("and count = %d, want 2", got)
-	}
 	if got := a.Or(b).Count(); got != 4 {
 		t.Fatalf("or count = %d, want 4", got)
 	}
 	if !a.Intersects(b) {
 		t.Fatal("intersects false")
 	}
-	if a.SubsetOf(b) {
+	if a.MaskedSubsetOf(a, b) {
 		t.Fatal("a ⊆ b should be false")
 	}
-	if !a.And(b).SubsetOf(a) {
+	if !a.MaskedSubsetOf(b, a) {
 		t.Fatal("a∩b ⊆ a should be true")
+	}
+	d := u.NewSet()
+	if d.SetAndNot(a, b); !d.Equal(u.SetOf(ids[0])) {
+		t.Fatalf("a &^ b = %v, want {%d}", d, ids[0])
+	}
+	if d.SetAndNot(d, a); !d.IsEmpty() {
+		t.Fatalf("aliased and-not left %v", d)
 	}
 	mask := u.SetOf(ids[1], ids[65])
 	if !a.IntersectionEqual(b, mask) {

@@ -25,13 +25,9 @@ const (
 	ExpandFull
 )
 
-// Joint is one global execution step of a set of constituent automata:
-// a consistent combination of local transitions (at most one per
-// constituent; -1 means the constituent idles).
+// Joint is one global execution step of a set of constituent automata in
+// dense form: a Cluster with its target spelled out per constituent.
 type Joint struct {
-	// Local[i] is the index into auts[i].Trans[states[i]] of the chosen
-	// transition, or -1 if constituent i idles.
-	Local []int32
 	// Sync is the union of the chosen transitions' synchronization sets.
 	Sync BitSet
 	// Guards and Acts are the concatenations over chosen transitions.
@@ -42,206 +38,19 @@ type Joint struct {
 }
 
 // ExpandJoint computes the global steps available to the constituents
-// `auts` in local states `states`. All automata must share one Universe.
-//
-// A combination {t_i} is consistent iff for the union S of all chosen
-// sync sets, every constituent j satisfies S ∩ Ports(j) == Sync(t_j)
-// (with Sync(idle) = ∅): a port shared by several constituents flows in
-// all of them or in none.
+// `auts` in local states `states`, in dense form. It is the one-shot
+// wrapper over a fresh Expander, which see for the enumeration rule;
+// callers that expand many states of the same constituents keep one
+// Expander instead, so that states share the work.
 func ExpandJoint(auts []*Automaton, states []int32, mode ExpandMode) []Joint {
-	if len(auts) == 0 {
-		return nil
-	}
-	u := auts[0].U
-	for _, a := range auts {
-		a.PadToUniverse()
-	}
-	switch mode {
-	case ExpandFull:
-		return expandFull(u, auts, states)
-	default:
-		return expandConnected(u, auts, states)
-	}
-}
-
-// expandFull is a complete backtracking enumeration with forward pruning.
-func expandFull(u *Universe, auts []*Automaton, states []int32) []Joint {
-	k := len(auts)
-	var out []Joint
-	chosen := make([]int32, k)
-	targets := make([]int32, k)
-	sync := u.NewSet()
-	forb := u.NewSet() // ports owned by an already-decided automaton but not fired by it
-
-	var rec func(i int, any bool)
-	rec = func(i int, nonIdle bool) {
-		if i == k {
-			if nonIdle {
-				out = append(out, buildJoint(u, auts, states, chosen, targets, sync))
-			}
-			return
-		}
-		a := auts[i]
-		// Option: idle. Valid iff no already-fired port belongs to a.
-		if !sync.Intersects(a.Ports) {
-			chosen[i] = -1
-			targets[i] = states[i]
-			forbAdd := a.Ports.And(inverse(forb))
-			forb.OrInto(a.Ports)
-			rec(i+1, nonIdle)
-			forb.AndNotInto(forbAdd)
-		}
-		// Options: each local transition.
-		for ti := range a.Trans[states[i]] {
-			t := &a.Trans[states[i]][ti]
-			// Ports fired by t must not be forbidden, and every
-			// already-fired port owned by a must be fired by t.
-			if t.Sync.Intersects(forb) {
-				continue
-			}
-			if !projectionCovered(sync, a.Ports, t.Sync) {
-				continue
-			}
-			chosen[i] = int32(ti)
-			targets[i] = t.Target
-			syncAdd := t.Sync.And(inverse(sync))
-			sync.OrInto(t.Sync)
-			forbAdd := a.Ports.And(inverse(forb))
-			forbAdd.AndNotInto(t.Sync)
-			// Careful: ports of a not fired by t become forbidden,
-			// except those already forbidden.
-			forb.OrInto(forbAdd)
-			rec(i+1, true)
-			forb.AndNotInto(forbAdd)
-			sync.AndNotInto(syncAdd)
-		}
-	}
-	rec(0, false)
-	return out
-}
-
-// projectionCovered reports whether sync ∩ ports ⊆ chosen, i.e. every
-// already-globally-fired port owned by this automaton is fired by the
-// candidate transition.
-func projectionCovered(sync, ports, chosen BitSet) bool {
-	for i := range sync {
-		if sync[i]&ports[i]&^chosen[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func inverse(b BitSet) BitSet {
-	c := make(BitSet, len(b))
-	for i := range b {
-		c[i] = ^b[i]
-	}
-	return c
-}
-
-// expandConnected enumerates connected global steps only: for each seed
-// transition of the lowest-index participating constituent, grow the
-// cluster by pulling in every constituent whose alphabet intersects the
-// accumulated sync set, branching over its projection-compatible
-// transitions.
-func expandConnected(u *Universe, auts []*Automaton, states []int32) []Joint {
-	k := len(auts)
-	// ownersOf[p] would be ideal; with modest k a scan is fine and
-	// avoids building an index per call (callers memoize results).
-	var out []Joint
-	chosen := make([]int32, k)
-	targets := make([]int32, k)
-
-	for seed := 0; seed < k; seed++ {
-		a := auts[seed]
-		for ti := range a.Trans[states[seed]] {
-			t := &a.Trans[states[seed]][ti]
-			for i := range chosen {
-				chosen[i] = -1
-				targets[i] = states[i]
-			}
-			chosen[seed] = int32(ti)
-			targets[seed] = t.Target
-			sync := t.Sync.Clone()
-			grow(u, auts, states, seed, chosen, targets, sync, func() {
-				out = append(out, buildJoint(u, auts, states, chosen, targets, sync))
-			})
-		}
+	clusters := NewExpander(auts, mode).Expand(states, nil)
+	out := make([]Joint, len(clusters))
+	for i, c := range clusters {
+		targets := append([]int32(nil), states...)
+		c.Apply(targets)
+		out[i] = Joint{Sync: c.Sync, Guards: c.Guards, Acts: c.Acts, Targets: targets}
 	}
 	return out
-}
-
-// grow recursively satisfies the constraint that every constituent whose
-// alphabet intersects sync participates with a matching projection.
-// Constituents with index < seed must not be pulled in (such clusters are
-// emitted when they themselves are the seed), except that a constituent
-// with a *smaller* index that is forced by the sync set means this cluster
-// is a duplicate and is abandoned.
-func grow(u *Universe, auts []*Automaton, states []int32, seed int, chosen, targets []int32, sync BitSet, emit func()) {
-	// Find a constituent that is forced to participate but has not
-	// chosen a transition yet.
-	forced := -1
-	for i, a := range auts {
-		if chosen[i] >= 0 {
-			continue
-		}
-		if a.Ports.Intersects(sync) {
-			if i < seed {
-				return // duplicate cluster; found from smaller seed
-			}
-			forced = i
-			break
-		}
-	}
-	if forced < 0 {
-		// Verify projections of all participants (sync may have grown
-		// after they were chosen).
-		for i, a := range auts {
-			if chosen[i] < 0 {
-				continue
-			}
-			t := &a.Trans[states[i]][chosen[i]]
-			if !t.Sync.IntersectionEqual(sync, a.Ports) {
-				return
-			}
-		}
-		emit()
-		return
-	}
-	a := auts[forced]
-	need := sync.And(a.Ports)
-	for ti := range a.Trans[states[forced]] {
-		t := &a.Trans[states[forced]][ti]
-		if !need.SubsetOf(t.Sync) {
-			continue
-		}
-		chosen[forced] = int32(ti)
-		targets[forced] = t.Target
-		added := t.Sync.And(inverse(sync))
-		sync.OrInto(added)
-		grow(u, auts, states, seed, chosen, targets, sync, emit)
-		sync.AndNotInto(added)
-		chosen[forced] = -1
-		targets[forced] = states[forced]
-	}
-}
-
-func buildJoint(u *Universe, auts []*Automaton, states []int32, chosen, targets []int32, sync BitSet) Joint {
-	j := Joint{
-		Local:   append([]int32(nil), chosen...),
-		Targets: append([]int32(nil), targets...),
-		Sync:    sync.Clone(),
-	}
-	for i, a := range auts {
-		if chosen[i] < 0 {
-			continue
-		}
-		t := &a.Trans[states[i]][chosen[i]]
-		j.Guards = append(j.Guards, t.Guards...)
-		j.Acts = append(j.Acts, t.Acts...)
-	}
-	return j
 }
 
 // StateKey is a packed composite-state identifier: a fixed-size,
@@ -259,7 +68,10 @@ type StateKey [4]uint64
 // IDs must stay stable for keys already handed out — so in the fallback
 // regime memory grows with the distinct states visited even when the
 // caller bounds its own cache; a deliberate tradeoff, far smaller per
-// state than the expansions such a cache evicts.
+// state than the expansions such a cache evicts. The Expander's cluster
+// memo is kept on the same terms: it is never evicted either, and it is
+// polynomial in the number of constituents where the set of composite
+// states is exponential.
 type StatePacker struct {
 	word  []int
 	shift []uint
@@ -365,7 +177,6 @@ func ProductAll(auts []*Automaton, mode ExpandMode, lim ProductLimits) (*Automat
 		if a.U != u {
 			return nil, errors.New("ca: product constituents from different universes")
 		}
-		a.PadToUniverse()
 	}
 	k := len(auts)
 	packer := NewStatePacker(auts)
@@ -388,21 +199,26 @@ func ProductAll(auts []*Automaton, mode ExpandMode, lim ProductLimits) (*Automat
 		out.Ports.OrInto(a.Ports)
 	}
 	totalTrans := 0
+	x := NewExpander(auts, mode)
+	var steps []*Cluster
+	target := make([]int32, k)
 	for qi := 0; qi < len(tuples); qi++ {
-		joints := ExpandJoint(auts, tuples[qi], mode)
-		ts := make([]Transition, 0, len(joints))
-		for _, j := range joints {
-			key := keyOf(j.Targets)
+		steps = x.Expand(tuples[qi], steps[:0])
+		ts := make([]Transition, 0, len(steps))
+		for _, c := range steps {
+			copy(target, tuples[qi])
+			c.Apply(target)
+			key := keyOf(target)
 			tgt, ok := index[key]
 			if !ok {
 				tgt = int32(len(tuples))
 				index[key] = tgt
-				tuples = append(tuples, j.Targets)
+				tuples = append(tuples, append([]int32(nil), target...))
 				if len(tuples) > lim.states() {
 					return nil, fmt.Errorf("%w: >%d states", ErrTooLarge, lim.states())
 				}
 			}
-			ts = append(ts, Transition{Target: tgt, Sync: j.Sync, Guards: j.Guards, Acts: j.Acts})
+			ts = append(ts, Transition{Target: tgt, Sync: c.Sync, Guards: c.Guards, Acts: c.Acts})
 		}
 		totalTrans += len(ts)
 		if totalTrans > lim.transitions() {

@@ -12,10 +12,14 @@ import (
 // assignments over a preallocated scratch array, so that the engine's
 // steady-state firing path performs no allocation and no graph walking.
 //
-// A Plan is compiled per joint transition of one expanded composite state
-// and cached with it. CheckGuards and Execute on the same Plan must not be
-// interleaved with other uses of that Plan: the engine serializes firing
-// under its lock, which is exactly the required discipline.
+// A Plan is compiled once per Cluster and kept in its Plan slot, so every
+// composite state that offers the cluster fires the same Plan. It reads
+// nothing but the cluster's guards and actions and the classification of
+// its ports — no cell contents, pending operations or queue states — which
+// is what makes the sharing sound. CheckGuards and Execute on the same
+// Plan must not be interleaved with other uses of that Plan: the engine
+// serializes firing under its lock, which is exactly the required
+// discipline.
 
 // PlanHost supplies the runtime context a Plan needs while firing: pending
 // send values for boundary source ports, and a destination for values the
@@ -281,8 +285,8 @@ func (p *Plan) CheckGuards(cells []any, host PlanHost) (bool, error) {
 	return true, nil
 }
 
-// Reset drops references to the last fire's data values, so plans cached
-// with their expanded state do not pin user payloads between fires.
+// Reset drops references to the last fire's data values, so plans kept
+// with their cluster do not pin user payloads between fires.
 // CheckGuards resets on a false/error outcome itself; after a true
 // outcome the guard-phase slots must survive until Execute, so the
 // caller resets once the firing attempt is over.

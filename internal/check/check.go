@@ -68,26 +68,30 @@ func Analyze(u *ca.Universe, auts []*ca.Automaton, lim Limits) (*Result, error) 
 	}
 
 	res := &Result{}
+	x := ca.NewExpander(auts, ca.ExpandConnected)
+	var steps []*ca.Cluster
+	tgt := make([]int32, k)
 	for len(queue) > 0 {
 		st := queue[0]
 		queue = queue[1:]
 		res.States++
-		joints := ca.ExpandJoint(auts, st, ca.ExpandConnected)
-		if len(joints) == 0 {
+		steps = x.Expand(st, steps[:0])
+		if len(steps) == 0 {
 			res.Deadlocks = append(res.Deadlocks, fmt.Sprintf("%v", st))
 			continue
 		}
-		res.Transitions += len(joints)
-		for _, j := range joints {
-			firedPorts.OrInto(j.Sync)
-			key := keyOf(j.Targets)
+		res.Transitions += len(steps)
+		for _, c := range steps {
+			firedPorts.OrInto(c.Sync)
+			copy(tgt, st)
+			c.Apply(tgt)
+			key := keyOf(tgt)
 			if !seen[key] {
 				seen[key] = true
 				if len(seen) > maxStates {
 					return nil, fmt.Errorf("check: %w", ca.ErrTooLarge)
 				}
-				tgt := append([]int32(nil), j.Targets...)
-				queue = append(queue, tgt)
+				queue = append(queue, append([]int32(nil), tgt...))
 				for i, s := range tgt {
 					localSeen[i][s] = true
 				}

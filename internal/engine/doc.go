@@ -14,9 +14,13 @@
 // composite state the first time it is visited. The cache may be bounded,
 // with an eviction policy, implementing the future-work extension of §V-B.
 //
-// Expansion compiles every joint transition into a ca.Plan (pre-resolved
-// guard/action steps with preallocated scratch) and builds a port index
+// Expansion assembles a composite state's joint transitions from clusters
+// of local transitions memoised by a ca.Expander, compiles each cluster
+// into a ca.Plan (pre-resolved guard/action steps with preallocated
+// scratch) the first time any state offers it, and builds a port index
 // over the expanded state, so the steady-state firing path is
 // allocation-free and proportional to the transitions a newly pended port
-// can actually enable — not to the state's out-degree.
+// can actually enable — not to the state's out-degree. Expanded states
+// link to the successors already visited from them, so re-entering a
+// known state costs a pointer load.
 package engine

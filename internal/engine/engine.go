@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -109,6 +110,24 @@ type Engine struct {
 	dirs     []ca.Dir
 	cache    *jointCache
 	packer   *ca.StatePacker
+	// expander enumerates the joint steps of composite states the cache
+	// does not hold; its cluster memo and the plans compiled into it live
+	// as long as the engine, whatever the cache bound (see ca.Expander).
+	// Like the rest of expandState's working set below, it is set up by
+	// the first expansion, not by New.
+	expander *ca.Expander
+	// cur is the expansion of the current composite state when it is
+	// known without a lookup, nil otherwise (always nil when the cache is
+	// bounded: every visit must then be seen by the eviction policy).
+	cur *expanded
+	// gates is boundary ∪ linkGate: the ports dispatch is indexed by.
+	gates ca.BitSet
+	// stepBuf, portFill and portBuf are scratch: the clusters of the state
+	// being expanded, and indexPorts' one counter per port and list of
+	// ports seen.
+	stepBuf  []*ca.Cluster
+	portFill []int32
+	portBuf  []ca.PortID
 	rng      pickRNG
 	closed   bool
 	broken   error
@@ -171,6 +190,8 @@ type Engine struct {
 	expansions atomic.Int64
 	guardEvals atomic.Int64
 	registered atomic.Int64
+	// plansCompiled, unlike the counters above, is not zeroed by Reset.
+	plansCompiled atomic.Int64
 }
 
 // New builds an engine over the constituent automata, which must all
@@ -248,18 +269,31 @@ func (e *Engine) finish() error {
 	return nil
 }
 
-// expanded is the memoized expansion of one composite state: every joint
-// transition compiled to a plan, plus dispatch indexes over them.
+// expanded is the memoized expansion of one composite state: its joint
+// transitions in candidate order, plus dispatch indexes over them. It holds
+// nothing of size k per transition: plans are shared with every other
+// composite state that offers the same cluster, and successors are the
+// clusters' sparse deltas.
 type expanded struct {
-	plans   []*ca.Plan
-	targets [][]int32
-	// byPort[p] lists (ascending) the plans whose sync set contains
-	// boundary port p: the only transitions a fresh operation on p can
-	// newly enable. A map keyed by the ports that actually occur keeps
+	plans []*ca.Plan
+	// deltas[i] lists the constituents plan i moves and where to.
+	deltas [][]ca.Delta
+	// succ[i], once plan i has been fired from this state, is the
+	// expansion of the state it leads to, so that a state visited before
+	// is re-entered without packing and hashing its key. nil when the
+	// cache is bounded: an evicted expansion must not stay reachable, and
+	// the eviction policy must see every visit.
+	succ []*expanded
+	// ports lists (ascending) the gated ports that occur in any plan's
+	// sync set; byPort[portOff[j]:portOff[j+1]] lists (ascending) the
+	// plans whose sync set contains ports[j]: the only transitions a
+	// fresh operation on that port can newly enable. Flat slices keep
 	// per-state memory proportional to the state's transitions, not to
-	// the universe size.
-	byPort map[ca.PortID][]int32
-	// taus lists plans with no boundary port in their sync set; they need
+	// the universe size, at three allocations per state.
+	ports   []ca.PortID
+	portOff []int32
+	byPort  []int32
+	// taus lists plans with no gated port in their sync set; they need
 	// no pending operation and are always dispatch candidates.
 	taus []int32
 	// flow[i] marks plan i as a pure flow: no guards, no cell writes, and
@@ -268,6 +302,15 @@ type expanded struct {
 	// queues, so a pending batch can fuse up to k consecutive firings of
 	// it into one dispatch decision (fireLoop's fused fast path).
 	flow []bool
+}
+
+// plansAt returns the plans whose sync set contains gated port p.
+func (ex *expanded) plansAt(p ca.PortID) []int32 {
+	j, ok := slices.BinarySearch(ex.ports, p)
+	if !ok {
+		return nil
+	}
+	return ex.byPort[ex.portOff[j]:ex.portOff[j+1]]
 }
 
 func (e *Engine) dirOf(p ca.PortID) ca.Dir {
@@ -298,13 +341,6 @@ func (e *Engine) planDir(p ca.PortID) ca.Dir {
 	return d
 }
 
-// gated reports whether port p participates in dispatch indexing: either
-// a task boundary port (needs a pending operation) or a link endpoint
-// (needs its queue condition).
-func (e *Engine) gated(p ca.PortID) bool {
-	return e.boundary.Has(p) || (e.linkGate != nil && e.linkGate.Has(p))
-}
-
 // expandState returns the expansion of the given composite state, using
 // the cache. Must be called with mu held.
 func (e *Engine) expandState(state []int32) *expanded {
@@ -312,49 +348,100 @@ func (e *Engine) expandState(state []int32) *expanded {
 	if ex, ok := e.cache.get(k); ok {
 		return ex
 	}
-	joints := ca.ExpandJoint(e.auts, state, e.opts.Expand)
+	if e.expander == nil {
+		e.expander = ca.NewExpander(e.auts, e.opts.Expand)
+		e.gates = e.boundary.Clone()
+		if e.linkGate != nil {
+			e.gates.OrInto(e.linkGate)
+		}
+		e.portFill = make([]int32, e.u.NumPorts())
+	}
+	e.stepBuf = e.expander.Expand(state, e.stepBuf[:0])
+	n := len(e.stepBuf)
 	ex := &expanded{
-		plans:   make([]*ca.Plan, len(joints)),
-		targets: make([][]int32, len(joints)),
-		byPort:  make(map[ca.PortID][]int32),
-		flow:    make([]bool, len(joints)),
+		plans:  make([]*ca.Plan, n),
+		deltas: make([][]ca.Delta, n),
+		flow:   make([]bool, n),
 	}
-	for i, j := range joints {
-		t := &ca.Transition{Sync: j.Sync, Guards: j.Guards, Acts: j.Acts}
-		ex.plans[i] = ca.CompilePlan(t, e.planDir)
-		ex.targets[i] = j.Targets
-		flow := ex.plans[i].Guards() == 0 && ex.plans[i].CellWrites() == 0
-		for ai := 0; flow && ai < len(j.Targets); ai++ {
-			if j.Targets[ai] != state[ai] {
-				flow = false
-			}
-		}
-		ex.flow[i] = flow
-		hasGate := false
-		j.Sync.ForEach(func(p ca.PortID) {
-			if e.gated(p) {
-				ex.byPort[p] = append(ex.byPort[p], int32(i))
-				hasGate = true
-			}
-		})
-		if !hasGate {
-			ex.taus = append(ex.taus, int32(i))
-		}
+	if e.cache.cap == 0 {
+		ex.succ = make([]*expanded, n)
 	}
+	for i, c := range e.stepBuf {
+		if c.Plan == nil {
+			// Compiled once per cluster, not per composite state: a plan
+			// reads nothing but the cluster and the port classification.
+			c.Plan = ca.CompilePlan(&ca.Transition{Sync: c.Sync, Guards: c.Guards, Acts: c.Acts}, e.planDir)
+			e.plansCompiled.Add(1)
+		}
+		ex.plans[i] = c.Plan
+		ex.deltas[i] = c.Deltas
+		ex.flow[i] = len(c.Deltas) == 0 && c.Plan.Guards() == 0 && c.Plan.CellWrites() == 0
+	}
+	e.indexPorts(ex)
 	e.expansions.Add(1)
 	e.cache.put(k, ex)
 	return ex
+}
+
+// indexPorts builds ex's dispatch indexes in two passes over the gated
+// ports of its plans' sync sets: count per port, then fill.
+func (e *Engine) indexPorts(ex *expanded) {
+	fill, ports := e.portFill, e.portBuf[:0]
+	total := 0
+	for i, pl := range ex.plans {
+		gated := false
+		for wi, w := range pl.Sync {
+			for w &= e.gates[wi]; w != 0; w &= w - 1 {
+				p := ca.PortID(wi*64 + bits.TrailingZeros64(w))
+				if fill[p] == 0 {
+					ports = append(ports, p)
+				}
+				fill[p]++
+				total++
+				gated = true
+			}
+		}
+		if !gated {
+			ex.taus = append(ex.taus, int32(i))
+		}
+	}
+	slices.Sort(ports)
+	e.portBuf = ports
+	ex.ports = slices.Clone(ports)
+	ex.portOff = make([]int32, len(ports)+1)
+	for j, p := range ports {
+		ex.portOff[j+1] = ex.portOff[j] + fill[p]
+		fill[p] = ex.portOff[j]
+	}
+	ex.byPort = make([]int32, total)
+	for i, pl := range ex.plans {
+		for wi, w := range pl.Sync {
+			for w &= e.gates[wi]; w != 0; w &= w - 1 {
+				p := ca.PortID(wi*64 + bits.TrailingZeros64(w))
+				ex.byPort[fill[p]] = int32(i)
+				fill[p]++
+			}
+		}
+	}
+	for _, p := range ports {
+		fill[p] = 0
+	}
 }
 
 // expandAll performs AOT composition: BFS over reachable composite states.
 func (e *Engine) expandAll() error {
 	seen := map[ca.StateKey]bool{e.packer.Key(e.state): true}
 	queue := [][]int32{append([]int32(nil), e.state...)}
+	tgt := make([]int32, len(e.state))
 	for len(queue) > 0 {
 		st := queue[0]
 		queue = queue[1:]
 		ex := e.expandState(st)
-		for _, tgt := range ex.targets {
+		for _, ds := range ex.deltas {
+			copy(tgt, st)
+			for _, d := range ds {
+				tgt[d.Aut] = d.Target
+			}
 			k := e.packer.Key(tgt)
 			if !seen[k] {
 				seen[k] = true
@@ -609,15 +696,32 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 		e.refreshLinks()
 	}
 	tau := 0
+	// Successor links are kept only while the cache is unbounded: a
+	// bounded cache must see every visit to rank its entries, and an
+	// evicted expansion must not stay reachable. from/via name the plan
+	// fired last, whose link is filled in when its target had to be
+	// looked up.
+	linked := e.cache.cap == 0
+	var from *expanded
+	var via int32
 	for {
-		ex := e.expandState(e.state)
+		ex := e.cur
+		if ex == nil {
+			ex = e.expandState(e.state)
+			if linked {
+				e.cur = ex
+				if from != nil {
+					from.succ[via] = ex
+				}
+			}
+		}
 		e.enabledBuf = e.enabledBuf[:0]
 		if indexed {
 			indexed = false
 			// Merge the trigger's plan list with the τ list in ascending
 			// plan order, so the RNG sees candidates exactly as a full
 			// scan would.
-			byp := ex.byPort[trigger]
+			byp := ex.plansAt(trigger)
 			taus := ex.taus
 			i, j := 0, 0
 			for i < len(byp) || j < len(taus) {
@@ -682,7 +786,16 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 				return
 			}
 		}
-		copy(e.state, ex.targets[ti])
+		// Enter the target state: by one pointer load when this plan has
+		// been fired from this state before, by key lookup at the top of
+		// the loop otherwise.
+		for _, d := range ex.deltas[ti] {
+			e.state[d.Aut] = d.Target
+		}
+		if linked {
+			from, via = ex, ti
+			e.cur = ex.succ[ti]
+		}
 		// Release the data values the enabled candidates computed during
 		// guard evaluation (and the fired plan's outputs): cached plans
 		// must not pin user payloads between fires.
@@ -877,7 +990,8 @@ func (e *Engine) Close() error {
 // Reset returns a closed (or broken) engine to its initial state so the
 // instance can be recycled instead of reallocated: automaton states,
 // cells, counters, and the choice stream are restored exactly as after
-// construction, while warm structures — the expanded-state cache, the
+// construction, while warm structures — the expanded-state cache with
+// its successor links, the expander's cluster memo and compiled plans, the
 // op pool, the candidate and nudge buffers — are retained. A recycled
 // engine therefore replays the same per-seed choice sequence as a
 // fresh one (Expansions may read lower, since the cache is already
@@ -893,6 +1007,7 @@ func (e *Engine) Reset() error {
 		e.state[i] = a.Initial
 	}
 	copy(e.cells, e.initCells)
+	e.cur = nil
 	e.closed = false
 	e.broken = nil
 	e.rng.reseed(e.opts.Seed)
@@ -926,6 +1041,11 @@ func (e *Engine) GuardEvals() int64 { return e.guardEvals.Load() }
 // Deterministic test drivers use it to sequence op arrival order across
 // goroutines without sleeping.
 func (e *Engine) OpsRegistered() int64 { return e.registered.Load() }
+
+// PlansCompiled returns how many transition plans have been compiled —
+// one per distinct cluster (per joint transition of every expanded state
+// under ca.ExpandFull). Reset keeps it, like the plans themselves.
+func (e *Engine) PlansCompiled() int64 { return e.plansCompiled.Load() }
 
 // CachedStates returns the number of composite states currently retained.
 func (e *Engine) CachedStates() int {

@@ -167,13 +167,16 @@ func (e *Engine) BindGen(t *GenTemplate, ports []ca.PortID, cells []ca.CellID, f
 			for _, slot := range tt.Sync {
 				p := ports[slot]
 				bt.syncPorts = append(bt.syncPorts, p)
+				gated := false
 				if e.boundary.Has(p) {
 					bt.bndPorts = append(bt.bndPorts, p)
+					gated = true
 				}
 				if e.linkGate != nil && e.linkGate.Has(p) {
 					bt.gatePorts = append(bt.gatePorts, p)
+					gated = true
 				}
-				if e.gated(p) {
+				if gated {
 					g.byPort[s][p] = append(g.byPort[s][p], int32(i))
 					hasGate = true
 				}

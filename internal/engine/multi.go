@@ -328,6 +328,16 @@ func (m *Multi) Expansions() int64 {
 	return n
 }
 
+// PlansCompiled sums compiled-plan counts across the locally hosted
+// partitions.
+func (m *Multi) PlansCompiled() int64 {
+	var n int64
+	for _, e := range m.live() {
+		n += e.PlansCompiled()
+	}
+	return n
+}
+
 // GuardEvals sums guard-evaluation counts across the locally hosted
 // partitions.
 func (m *Multi) GuardEvals() int64 {

@@ -17,6 +17,10 @@ type Coordinator interface {
 	Close() error
 	Steps() int64
 	Expansions() int64
+	// PlansCompiled reports how many transition plans have been compiled
+	// since construction; unlike the other counters it is not zeroed by
+	// Reset, since the plans it counts survive Reset too.
+	PlansCompiled() int64
 	// GuardEvals reports how many candidate transitions had their guards
 	// evaluated while dispatching — the engine's per-step matching work.
 	GuardEvals() int64

@@ -88,7 +88,7 @@ type stateInfo struct {
 
 type transInfo struct {
 	id    int32
-	joint ca.Joint
+	joint *ca.Cluster
 	// syncPorts are the boundary ports of the sync set, compact indices
 	// ascending — the ports that must hold pending operations.
 	syncPorts []int32
@@ -245,17 +245,22 @@ func (m *model) expand() error {
 	}
 	ids := map[string]int32{key(initial): 0}
 	m.states = []*stateInfo{{vec: initial}}
+	x := ca.NewExpander(m.auts, ca.ExpandConnected)
+	var steps []*ca.Cluster
+	vec := make([]int32, len(m.auts))
 	for si := 0; si < len(m.states); si++ {
 		st := m.states[si]
 		st.byPort = make(map[int32][]int32)
-		joints := ca.ExpandJoint(m.auts, st.vec, ca.ExpandConnected)
-		for _, j := range joints {
+		steps = x.Expand(st.vec, steps[:0])
+		for _, c := range steps {
 			tid := int32(len(m.trans))
-			t := &transInfo{id: tid, joint: j}
+			t := &transInfo{id: tid, joint: c}
 			if err := m.resolveTrans(t); err != nil {
 				return err
 			}
-			tk := key(j.Targets)
+			copy(vec, st.vec)
+			c.Apply(vec)
+			tk := key(vec)
 			target, ok := ids[tk]
 			if !ok {
 				target = int32(len(m.states))
@@ -263,7 +268,7 @@ func (m *model) expand() error {
 					return fmt.Errorf("gen: %w: ahead-of-time expansion exceeds %d composite states (the interpreted JIT engine has no such limit)", ca.ErrTooLarge, m.cfg.MaxStates)
 				}
 				ids[tk] = target
-				m.states = append(m.states, &stateInfo{vec: append([]int32(nil), j.Targets...)})
+				m.states = append(m.states, &stateInfo{vec: append([]int32(nil), vec...)})
 			}
 			t.target = target
 			t.flow = len(t.guards) == 0 && t.cellWrites() == 0 && target == int32(si)

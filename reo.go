@@ -853,6 +853,12 @@ func (i *Instance) Steps() int64 { return i.coord.Steps() }
 // (composition work deferred to run time).
 func (i *Instance) Expansions() int64 { return i.coord.Expansions() }
 
+// PlansCompiled returns how many transition plans the instance has
+// compiled since it was built: one per distinct cluster of local
+// transitions, however many composite states contain it. A recycled
+// instance (WithReuse) keeps its plans, so the count carries over.
+func (i *Instance) PlansCompiled() int64 { return i.coord.PlansCompiled() }
+
 // GuardEvals returns the number of candidate transitions whose guards the
 // engine evaluated while dispatching. Together with Steps it measures the
 // per-step matching work: GuardEvals()/Steps() is the average number of

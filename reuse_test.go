@@ -40,6 +40,9 @@ func TestReuseDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, rounds = 3, 6
+	// plans is the instance's compiled-plan count at the end of the last
+	// run; the pool hands the same instance back, plans and all.
+	var plans int64
 	run := func() *gendrv.Result {
 		t.Helper()
 		inst, err := d.Connect(n, reuseOpts()...)
@@ -50,12 +53,20 @@ func TestReuseDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plans = inst.PlansCompiled()
 		inst.Close() // recycles into the template pool
 		return res
 	}
 	fresh := run()
+	if plans == 0 {
+		t.Fatal("fresh run compiled no plans")
+	}
 	for round := 0; round < 3; round++ {
+		before := plans
 		recycled := run()
+		if plans != before {
+			t.Errorf("round %d: recycled run compiled %d new plans, want 0 (plans live with the instance)", round, plans-before)
+		}
 		if !reflect.DeepEqual(fresh.Seqs, recycled.Seqs) {
 			t.Errorf("round %d: per-port sequences differ\nfresh:    %v\nrecycled: %v\n%s",
 				round, fresh.Seqs, recycled.Seqs, reproCmd(t, 7))
