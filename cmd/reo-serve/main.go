@@ -14,7 +14,7 @@
 //	POST   /v1/sessions/{id}/send     {"value": v}            write into the session's lane
 //	POST   /v1/sessions/{id}/recv     -> {"value": v}         read from the session's lane
 //	DELETE /v1/sessions/{id}                                  close (recycles the instance)
-//	GET    /v1/stats                  -> live/created/closed counts, runtime workers
+//	GET    /v1/stats                  -> live/created/closed counts, runtime workers and scheduling counters
 //
 // Load mode (self-driving loopback client over real HTTP):
 //
@@ -179,6 +179,7 @@ func (s *server) handler() http.Handler {
 			"created": s.created.Load(),
 			"closed":  s.closed.Load(),
 			"workers": reo.DefaultRuntime().Workers(),
+			"runtime": reo.DefaultRuntime().Stats(),
 		})
 	})
 	return mux

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -118,10 +119,14 @@ func TestDeterministicWithSeed(t *testing.T) {
 		for r := 0; r < 10; r++ {
 			done1 := make(chan struct{})
 			done2 := make(chan struct{})
+			// Both sends must be pending when the receive registers, or
+			// the first fire has one candidate and draws nothing.
+			want := e.OpsRegistered() + 2
 			go func() { e.Send(i1, "a"); close(done1) }()
-			time.Sleep(time.Millisecond)
 			go func() { e.Send(i2, "b"); close(done2) }()
-			time.Sleep(time.Millisecond)
+			for e.OpsRegistered() < want {
+				runtime.Gosched()
+			}
 			v, _ := e.Recv(o)
 			got = append(got, v)
 			v, _ = e.Recv(o)

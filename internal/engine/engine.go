@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -139,20 +140,18 @@ type Engine struct {
 	// Region-link support (see region.go). All nil/empty unless the
 	// engine is one region of a NewMultiRegions coordinator.
 	//
-	// emitAt maps a port to the inbound link offering values at it;
-	// acceptAt maps a port to the outbound links consuming from it.
-	// linkGate marks ports with any endpoint; linkOK the subset whose
-	// queue conditions (non-empty to emit, non-full to accept) currently
-	// hold. pushVal buffers plan-computed values for accepting ports
-	// within one fire. outNudges collects the neighbor regions whose
-	// gates this engine's fires changed; the goroutine that fired drains
-	// it after releasing the lock (see processNudges).
-	emitAt    map[ca.PortID]*link
-	acceptAt  map[ca.PortID][]*link
-	gatePorts []ca.PortID
+	// ends holds the link endpoints, one entry per port that has any;
+	// linkAt[p] is 1 + the index in ends of port p's entry, 0 for a port
+	// without links (sized like pend, so the firing path indexes instead
+	// of hashing). linkGate marks the ports with an entry; linkOK the
+	// subset whose queue conditions (non-empty to emit, non-full to
+	// accept) currently hold. outNudges collects the neighbor regions
+	// whose gates this engine's fires changed; the goroutine that fired
+	// drains it after releasing the lock (see processNudges).
+	ends      []linkEnd
+	linkAt    []int32
 	linkGate  ca.BitSet
 	linkOK    ca.BitSet
-	pushVal   map[ca.PortID]any
 	outNudges []*Engine
 	// outSignals collects the half links (transport.go) whose queue
 	// state this engine's fires changed; flushed (with mu held, after
@@ -165,9 +164,9 @@ type Engine struct {
 	// (dedicated via Options.Workers, or shared via Options.Runtime);
 	// nudges are then posted to it as wake-ups instead of drained
 	// inline. schedState is the engine's run state (idle/queued/running/
-	// dirty) advanced by CAS; homeWorker the queue assignment of the
-	// current attach. fireCompleted/fireLinkActive report, per fireLoop
-	// call (under mu), whether the pass moved any boundary operation
+	// dirty) advanced by CAS; homeWorker the worker whose inbox wake-ups
+	// from outside the pool go to. fireCompleted/fireLinkActive report,
+	// per fireLoop call (under mu), whether the pass moved any boundary operation
 	// forward (a batched operation's item progress counts, and a fused
 	// k-step is k items of progress) / touched any link — the runtime's
 	// τ-budget signals. linkBurst/lastSeen are the engine's τ-burst
@@ -327,16 +326,13 @@ func (e *Engine) dirOf(p ca.PortID) ca.Dir {
 // origin behaves as a sink (the plan computes and delivers the value the
 // region must push).
 func (e *Engine) planDir(p ca.PortID) ca.Dir {
-	if e.emitAt != nil {
-		if _, ok := e.emitAt[p]; ok {
-			return ca.DirSource
-		}
+	end := e.endAt(p)
+	if end != nil && end.emit != nil {
+		return ca.DirSource
 	}
 	d := e.dirOf(p)
-	if d == ca.DirNone && e.acceptAt != nil {
-		if _, ok := e.acceptAt[p]; ok {
-			return ca.DirSink
-		}
+	if d == ca.DirNone && end != nil {
+		return ca.DirSink
 	}
 	return d
 }
@@ -462,10 +458,8 @@ func (e *Engine) PlanPortVal(p ca.PortID) any {
 	if o := e.pend[p]; o != nil && o.send {
 		return o.vals[o.cur]
 	}
-	if e.emitAt != nil {
-		if l := e.emitAt[p]; l != nil {
-			return l.peek()
-		}
+	if end := e.endAt(p); end != nil && end.emit != nil {
+		return end.emit.peek()
 	}
 	return nil
 }
@@ -478,10 +472,8 @@ func (e *Engine) PlanDeliver(p ca.PortID, v any) {
 	if o := e.pend[p]; o != nil && !o.send {
 		o.vals[o.cur] = v
 	}
-	if e.acceptAt != nil {
-		if _, ok := e.acceptAt[p]; ok {
-			e.pushVal[p] = v
-		}
+	if end := e.endAt(p); end != nil && len(end.accept) > 0 {
+		end.push = v
 	}
 }
 
@@ -505,7 +497,9 @@ func (e *Engine) Recv(p ca.PortID) (any, error) {
 		e.putOp(o)
 		return nil, err
 	}
-	e.deliverNudges(nudges)
+	if len(nudges) > 0 {
+		e.processNudges(nudges)
+	}
 	<-o.done
 	out, err := o.inline[0], o.err
 	e.putOp(o)
@@ -553,7 +547,9 @@ func (e *Engine) runOp(p ca.PortID, o *op) (int, error) {
 		e.putOp(o)
 		return 0, err
 	}
-	e.deliverNudges(nudges)
+	if len(nudges) > 0 {
+		e.processNudges(nudges)
+	}
 	<-o.done
 	n, err := o.cur, o.err
 	e.putOp(o)
@@ -616,7 +612,7 @@ func (e *Engine) register(p ca.PortID, o *op) ([]*Engine, error) {
 		// livelock guard measures throughput by. The caller has nothing
 		// left to deliver.
 		e.noteCompletion()
-		e.flushWakes()
+		e.flushWakes(nil)
 		return nil, nil
 	}
 	nudges := e.outNudges
@@ -859,44 +855,44 @@ func (e *Engine) advanceOps(pl *ca.Plan, traced *[]TracePort) bool {
 // where the livelock guard can see it spin. Called with mu held, after
 // the triggering fire already advanced its cursors and queues.
 func (e *Engine) fuseBudget(pl *ca.Plan) int {
-	k := int(^uint(0) >> 1)
-	found := false
+	k, gated := math.MaxInt, false
 	for wi, w := range pl.Sync {
-		for w != 0 {
-			p := ca.PortID(wi*64 + bits.TrailingZeros64(w))
-			w &= w - 1
-			if e.boundary.Has(p) {
-				o := e.pend[p]
-				if o == nil {
-					return 0 // batch exhausted: the transition is disabled
-				}
-				if r := o.remaining(); r < k {
-					k = r
-				}
-				found = true
-			}
-			if e.emitAt != nil {
-				if l := e.emitAt[p]; l != nil {
-					if r := l.avail(); r < k {
-						k = r
-					}
-					found = true
-				}
-			}
-			if e.acceptAt != nil {
-				for _, l := range e.acceptAt[p] {
-					if r := l.free(); r < k {
-						k = r
-					}
-					found = true
-				}
-			}
+		for ; w != 0 && k > 0; w &= w - 1 {
+			var g bool
+			k, g = e.gateBudget(ca.PortID(wi*64+bits.TrailingZeros64(w)), k)
+			gated = gated || g
 		}
 	}
-	if !found || k <= 0 {
+	if !gated {
 		return 0
 	}
 	return k
+}
+
+// gateBudget lowers k to what port p still lets a flow plan move — the
+// remaining items of the pending operation on a boundary port (0 without
+// one: the batch is exhausted and the transition disabled), the items of
+// the emitting link, the free slots of the accepting ones — and reports
+// whether p gates at all. Called with mu held.
+func (e *Engine) gateBudget(p ca.PortID, k int) (int, bool) {
+	gated := false
+	if e.boundary.Has(p) {
+		o := e.pend[p]
+		if o == nil {
+			return 0, true
+		}
+		k, gated = min(k, o.remaining()), true
+	}
+	if end := e.endAt(p); end != nil {
+		gated = true
+		if end.emit != nil {
+			k = min(k, end.emit.avail())
+		}
+		for _, l := range end.accept {
+			k = min(k, l.free())
+		}
+	}
+	return max(k, 0), gated
 }
 
 // fireFused re-fires a just-fired pure-flow plan as many times as its

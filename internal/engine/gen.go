@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ca"
 )
@@ -347,106 +348,30 @@ func (e *Engine) advanceOpsGen(t *genTrans, traced *[]TracePort) bool {
 // (gatePorts, ascending — the same order as the interpreted masked
 // bit-set walk). Called with mu held.
 func (e *Engine) fireLinksGen(t *genTrans, deferred bool) bool {
-	active := false
 	for _, p := range t.gatePorts {
-		active = true
-		var v any
-		fromLink := false
-		if l := e.emitAt[p]; l != nil {
-			if deferred {
-				v = l.popDefer()
-			} else {
-				v = l.pop()
-			}
-			fromLink = true
-			if o := e.pend[p]; o != nil && !o.send {
-				o.vals[o.cur] = v
-			}
-			if l.src != nil {
-				e.noteNudge(l.src)
-			} else {
-				e.noteSignal(l) // remote producer: signal the ack pump
-			}
-		}
-		if outs := e.acceptAt[p]; len(outs) > 0 {
-			if !fromLink {
-				if o := e.pend[p]; o != nil && o.send {
-					v = o.vals[o.cur]
-				} else if pv, ok := e.pushVal[p]; ok {
-					v = pv
-				}
-			}
-			for _, l := range outs {
-				if deferred {
-					l.pushDefer(v)
-				} else {
-					l.push(v)
-				}
-				if l.dst != nil {
-					e.noteNudge(l.dst)
-				} else {
-					e.noteSignal(l) // remote consumer: signal the send pump
-				}
-			}
-		}
-		if !deferred {
-			e.refreshLinkPort(p)
-		}
+		e.fireLinkPort(p, deferred)
 	}
-	for p := range e.pushVal {
-		delete(e.pushVal, p)
-	}
-	return active
+	return len(t.gatePorts) > 0
 }
 
 // commitLinksGen is commitLinks over the bound transition's link
 // endpoints. Called with mu held.
 func (e *Engine) commitLinksGen(t *genTrans) {
 	for _, p := range t.gatePorts {
-		if l := e.emitAt[p]; l != nil {
-			l.commitPops()
-		}
-		for _, l := range e.acceptAt[p] {
-			l.commitPushes()
-		}
-		e.refreshLinkPort(p)
+		e.commitLinkPort(p)
 	}
 }
 
 // fuseBudgetGen is fuseBudget over the bound transition's sync ports.
 // Called with mu held.
 func (e *Engine) fuseBudgetGen(t *genTrans) int {
-	k := int(^uint(0) >> 1)
-	found := false
+	k, gated := math.MaxInt, false
 	for _, p := range t.syncPorts {
-		if e.boundary.Has(p) {
-			o := e.pend[p]
-			if o == nil {
-				return 0
-			}
-			if r := o.remaining(); r < k {
-				k = r
-			}
-			found = true
-		}
-		if e.emitAt != nil {
-			if l := e.emitAt[p]; l != nil {
-				if r := l.avail(); r < k {
-					k = r
-				}
-				found = true
-			}
-		}
-		if e.acceptAt != nil {
-			for _, l := range e.acceptAt[p] {
-				if r := l.free(); r < k {
-					k = r
-				}
-				found = true
-			}
-		}
+		var g bool
+		k, g = e.gateBudget(p, k)
+		gated = gated || g
 	}
-	if !found || k <= 0 {
+	if !gated {
 		return 0
 	}
 	return k

@@ -134,9 +134,9 @@ type PartitionInfo struct {
 	// Links counts the link endpoints attached to the partition (always
 	// 0 for component partitions).
 	Links int
-	// Worker is the scheduler worker the partition's run queue is keyed
-	// to (its home; idle workers may steal it), or -1 when the
-	// coordinator runs synchronously.
+	// Worker is the partition's home worker — the one whose inbox its
+	// wake-ups from outside the pool are queued on (any worker may run
+	// it) — or -1 when the coordinator runs synchronously.
 	Worker                        int
 	Steps, Expansions, GuardEvals int64
 }
@@ -241,7 +241,7 @@ func (m *Multi) Close() error {
 	}
 	if m.sched != nil {
 		if m.sched.dedicated {
-			m.sched.shutdown()
+			m.sched.Close()
 		} else {
 			m.sched.detach(m.live())
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -230,56 +229,72 @@ func (e *Engine) breakExternal(err error) {
 	e.break_(err)
 }
 
-// addAccept registers an outbound link at port p (the region pushes into
-// it when p fires). Several links may accept at one port: a replicated
-// node pushes to all of them in the same fire.
-func (e *Engine) addAccept(p ca.PortID, l *link) {
-	if e.acceptAt == nil {
-		e.acceptAt = make(map[ca.PortID][]*link)
-	}
-	e.acceptAt[p] = append(e.acceptAt[p], l)
+// linkEnd is the link endpoints at one port of a region.
+type linkEnd struct {
+	port ca.PortID
+	// emit is the inbound link offering values at the port (the region
+	// pops from it when the port fires). At most one — link-level merges
+	// are excluded by the planner.
+	emit *link
+	// accept lists the outbound links consuming from the port. Several may
+	// accept at one port: a replicated node pushes to all of them in the
+	// same fire.
+	accept []*link
+	// push holds the value the firing plan computed for accept, between
+	// its PlanDeliver and the fireLinkPort of the same fire.
+	push any
 }
 
-// addEmit registers an inbound link at port p (the region pops from it
-// when p fires). At most one link may emit at a port — link-level merges
-// are excluded by the planner.
-func (e *Engine) addEmit(p ca.PortID, l *link) {
-	if e.emitAt == nil {
-		e.emitAt = make(map[ca.PortID]*link)
+// endAt returns port p's link endpoints, nil when it has none.
+func (e *Engine) endAt(p ca.PortID) *linkEnd {
+	if int(p) < len(e.linkAt) {
+		if i := e.linkAt[p]; i != 0 {
+			return &e.ends[i-1]
+		}
 	}
-	if _, dup := e.emitAt[p]; dup {
+	return nil
+}
+
+// addEnd returns port p's link endpoints, adding the entry if needed.
+// Construction only: it may move ends.
+func (e *Engine) addEnd(p ca.PortID) *linkEnd {
+	if e.linkAt == nil {
+		e.linkAt = make([]int32, e.u.NumPorts())
+	}
+	if e.linkAt[p] == 0 {
+		e.ends = append(e.ends, linkEnd{port: p})
+		e.linkAt[p] = int32(len(e.ends))
+	}
+	return &e.ends[e.linkAt[p]-1]
+}
+
+// addAccept registers an outbound link at port p.
+func (e *Engine) addAccept(p ca.PortID, l *link) {
+	end := e.addEnd(p)
+	end.accept = append(end.accept, l)
+}
+
+// addEmit registers the inbound link at port p.
+func (e *Engine) addEmit(p ca.PortID, l *link) {
+	end := e.addEnd(p)
+	if end.emit != nil {
 		panic("engine: two links emitting at one port")
 	}
-	e.emitAt[p] = l
+	end.emit = l
 }
 
 // initLinks finalizes link-endpoint bookkeeping. Must run after all
 // addAccept/addEmit calls and before the engine expands any state (the
 // compiled plans depend on which ports are link endpoints).
 func (e *Engine) initLinks() {
-	if len(e.emitAt) == 0 && len(e.acceptAt) == 0 {
+	if len(e.ends) == 0 {
 		return
 	}
 	e.linkGate = e.u.NewSet()
 	e.linkOK = e.u.NewSet()
-	seen := make(map[ca.PortID]bool)
-	for p := range e.emitAt {
-		if !seen[p] {
-			seen[p] = true
-			e.gatePorts = append(e.gatePorts, p)
-		}
+	for i := range e.ends {
+		e.linkGate.Set(e.ends[i].port)
 	}
-	for p := range e.acceptAt {
-		if !seen[p] {
-			seen[p] = true
-			e.gatePorts = append(e.gatePorts, p)
-		}
-	}
-	sort.Slice(e.gatePorts, func(i, j int) bool { return e.gatePorts[i] < e.gatePorts[j] })
-	for _, p := range e.gatePorts {
-		e.linkGate.Set(p)
-	}
-	e.pushVal = make(map[ca.PortID]any)
 	e.refreshLinks()
 }
 
@@ -288,28 +303,20 @@ func (e *Engine) initLinks() {
 // readiness), so a stale bit is at worst a missed enable that the
 // neighbor's nudge repairs.
 func (e *Engine) refreshLinks() {
-	for _, p := range e.gatePorts {
-		e.refreshLinkPort(p)
+	for i := range e.ends {
+		e.refreshEnd(&e.ends[i])
 	}
 }
 
-func (e *Engine) refreshLinkPort(p ca.PortID) {
-	ok := true
-	if l := e.emitAt[p]; l != nil && l.empty() {
-		ok = false
+func (e *Engine) refreshEnd(end *linkEnd) {
+	ok := end.emit == nil || !end.emit.empty()
+	for _, l := range end.accept {
+		ok = ok && !l.full()
 	}
 	if ok {
-		for _, l := range e.acceptAt[p] {
-			if l.full() {
-				ok = false
-				break
-			}
-		}
-	}
-	if ok {
-		e.linkOK.Set(p)
+		e.linkOK.Set(end.port)
 	} else {
-		e.linkOK.Clear(p)
+		e.linkOK.Clear(end.port)
 	}
 }
 
@@ -333,59 +340,53 @@ func (e *Engine) fireLinks(pl *ca.Plan, deferred bool) bool {
 		if wi >= len(e.linkGate) {
 			break
 		}
-		w := pl.Sync[wi] & e.linkGate[wi]
-		for w != 0 {
-			p := ca.PortID(wi*64 + bits.TrailingZeros64(w))
-			w &= w - 1
+		for w := pl.Sync[wi] & e.linkGate[wi]; w != 0; w &= w - 1 {
+			e.fireLinkPort(ca.PortID(wi*64+bits.TrailingZeros64(w)), deferred)
 			active = true
-			var v any
-			fromLink := false
-			if l := e.emitAt[p]; l != nil {
-				if deferred {
-					v = l.popDefer()
-				} else {
-					v = l.pop()
-				}
-				fromLink = true
-				if o := e.pend[p]; o != nil && !o.send {
-					o.vals[o.cur] = v
-				}
-				if l.src != nil {
-					e.noteNudge(l.src)
-				} else {
-					e.noteSignal(l) // remote producer: signal the ack pump
-				}
-			}
-			if outs := e.acceptAt[p]; len(outs) > 0 {
-				if !fromLink {
-					if o := e.pend[p]; o != nil && o.send {
-						v = o.vals[o.cur]
-					} else if pv, ok := e.pushVal[p]; ok {
-						v = pv
-					}
-				}
-				for _, l := range outs {
-					if deferred {
-						l.pushDefer(v)
-					} else {
-						l.push(v)
-					}
-					if l.dst != nil {
-						e.noteNudge(l.dst)
-					} else {
-						e.noteSignal(l) // remote consumer: signal the send pump
-					}
-				}
-			}
-			if !deferred {
-				e.refreshLinkPort(p)
-			}
 		}
 	}
-	for p := range e.pushVal {
-		delete(e.pushVal, p)
-	}
 	return active
+}
+
+// fireLinkPort is fireLinks at one fired port p of linkGate.
+func (e *Engine) fireLinkPort(p ca.PortID, deferred bool) {
+	end := e.endAt(p)
+	// The value pushed is the one popped here, else the pending send's
+	// current item, else what the plan delivered.
+	v := end.push
+	end.push = nil
+	if l := end.emit; l != nil {
+		if deferred {
+			v = l.popDefer()
+		} else {
+			v = l.pop()
+		}
+		if o := e.pend[p]; o != nil && !o.send {
+			o.vals[o.cur] = v
+		}
+		if l.src != nil {
+			e.noteNudge(l.src)
+		} else {
+			e.noteSignal(l) // remote producer: signal the ack pump
+		}
+	} else if o := e.pend[p]; o != nil && o.send {
+		v = o.vals[o.cur]
+	}
+	for _, l := range end.accept {
+		if deferred {
+			l.pushDefer(v)
+		} else {
+			l.push(v)
+		}
+		if l.dst != nil {
+			e.noteNudge(l.dst)
+		} else {
+			e.noteSignal(l) // remote consumer: signal the send pump
+		}
+	}
+	if !deferred {
+		e.refreshEnd(end)
+	}
 }
 
 // commitLinks publishes the deferred pops and pushes a fused burst
@@ -397,19 +398,22 @@ func (e *Engine) commitLinks(pl *ca.Plan) {
 		if wi >= len(e.linkGate) {
 			break
 		}
-		w := pl.Sync[wi] & e.linkGate[wi]
-		for w != 0 {
-			p := ca.PortID(wi*64 + bits.TrailingZeros64(w))
-			w &= w - 1
-			if l := e.emitAt[p]; l != nil {
-				l.commitPops()
-			}
-			for _, l := range e.acceptAt[p] {
-				l.commitPushes()
-			}
-			e.refreshLinkPort(p)
+		for w := pl.Sync[wi] & e.linkGate[wi]; w != 0; w &= w - 1 {
+			e.commitLinkPort(ca.PortID(wi*64 + bits.TrailingZeros64(w)))
 		}
 	}
+}
+
+// commitLinkPort is commitLinks at one fired port p of linkGate.
+func (e *Engine) commitLinkPort(p ca.PortID) {
+	end := e.endAt(p)
+	if end.emit != nil {
+		end.emit.commitPops()
+	}
+	for _, l := range end.accept {
+		l.commitPushes()
+	}
+	e.refreshEnd(end)
 }
 
 // noteNudge records that a fire changed link state visible to neighbor
@@ -481,23 +485,6 @@ func (e *Engine) processNudges(work []*Engine) {
 	}
 }
 
-// deliverNudges drains the cross-region wake-ups captured by a register
-// call inline. In runtime mode register already posted them as wake-ups
-// under the engine lock (flushWakes) and returned nil, so this only
-// ever walks in synchronous mode. Must be called WITHOUT mu held.
-func (e *Engine) deliverNudges(nudges []*Engine) {
-	if len(nudges) == 0 {
-		return
-	}
-	if rt := e.sched; rt != nil {
-		for _, t := range nudges {
-			rt.wake(t)
-		}
-		return
-	}
-	e.processNudges(nudges)
-}
-
 // settle runs the initial fire pass of a freshly built region (and its
 // ripple effects): initially full links can enable relay fires before
 // any task operation arrives.
@@ -516,9 +503,12 @@ func (e *Engine) settle() {
 
 // linkCount returns the number of link endpoints attached to the engine.
 func (e *Engine) linkCount() int {
-	n := len(e.emitAt)
-	for _, ls := range e.acceptAt {
-		n += len(ls)
+	n := 0
+	for i := range e.ends {
+		n += len(e.ends[i].accept)
+		if e.ends[i].emit != nil {
+			n++
+		}
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the concurrent runtime for region-partitioned
@@ -10,42 +11,56 @@ import (
 // to wake-ups. In synchronous mode (no Workers, no Runtime) every
 // cross-region nudge is drained inline by the goroutine that fired
 // (region.go, processNudges), so a connector cut into eight regions
-// still burns one core; with a runtime, a nudge becomes a wake-up
-// posted to the pool and the affected regions fire concurrently.
+// still burns one core; with a runtime, a nudge becomes a wake-up and
+// the affected regions fire on the pool, concurrently.
 //
-// A Runtime comes in two flavors sharing all of the machinery:
-//
-//   - dedicated: owned by one Multi (Options.Workers != 0), sized by
-//     the caller and capped at the region count, shut down when the
-//     instance closes — the historical per-instance pool.
-//   - shared: process-wide (DefaultRuntime, or any NewRuntime the
-//     caller keeps), sized at GOMAXPROCS, multiplexing the regions of
-//     arbitrarily many instances over one fixed set of workers.
-//     Instances attach at construction and detach at Close; the pool
-//     itself is never torn down between instances, so Connect/Close
-//     churn spawns no goroutines.
+// A Runtime is either dedicated — owned by one Multi (Options.Workers
+// != 0), capped at its region count, shut down with it — or shared:
+// DefaultRuntime, or any NewRuntime the caller keeps, multiplexing the
+// regions of arbitrarily many instances, which attach at construction
+// and detach at Close, so Connect/Close churn spawns no goroutines. Both
+// are the same machinery.
 //
 // Each engine carries a run state (idle / queued / running / dirty)
-// advanced by compare-and-swap, which both deduplicates wake-ups (an
-// already-queued engine is not queued twice) and guarantees that no
-// enablement is lost: a wake-up arriving while the engine runs flips it
-// to dirty, and the finishing worker requeues it, so a fire pass
-// happens-after every wake. Engines are assigned a home worker
-// round-robin at attach (the run queue is keyed by engine); a worker
-// whose own queue is empty steals from its siblings before parking, so
-// load imbalance between regions does not idle cores.
+// advanced by compare-and-swap, which both deduplicates wake-ups and
+// guarantees that no enablement is lost: a wake-up arriving while the
+// engine runs flips it to dirty, and the finishing worker requeues it,
+// so a fire pass happens-after every wake.
 //
-// Queue entries are hints, not ownership: a worker claims an engine by
-// CASing queued→running and silently drops entries that lose the race
-// (or whose engine went idle via detach). That is what makes detach
-// safe without scanning the queues — a stale entry for a detached or
-// even pool-recycled engine is at worst one wasted CAS.
+// With capacity-1 links every hop of an item is a wake-up, so where a
+// woken engine is queued decides what a hop costs: with the runtime lock
+// on that path, two workers spend ~45 % of a streaming chain's CPU
+// handing each other the lock. A wake-up produced by a worker's own
+// fire pass (flushWakes, the dirty requeue) therefore goes on that
+// worker's private run list — a plain FIFO nobody else touches — and the
+// worker continues with it itself, work first. The lock guards only the
+// injection queue (one inbox per worker) and the parking of workers:
+//
+//   - wake-ups from outside the pool (a task's register, a transport
+//     pump, attach) go to the inbox of the engine's home worker;
+//   - surplus: while a worker is parked, a worker holding more than the
+//     engine it is about to run moves one to its own inbox.
+//
+// Either push signals one parked worker, and the signaller takes it off
+// the parked count, so two pushes never count on the same sleeper. A
+// worker looks at the inboxes — its own, then its siblings' — when its
+// run list is empty and, polling, after pollEvery passes in a row from
+// the run list: an instance that feeds itself forever (streaming, or
+// livelocked) delays an injected wake-up by at most that many passes of
+// each worker, whatever the pool size. It parks when run list and inboxes
+// are all empty.
+//
+// Entries are hints, not ownership: a worker claims an engine by CASing
+// queued→running and drops entries that lose the race or whose engine
+// went idle via detach. That is what makes detach safe without scanning
+// any list — a stale entry for a detached or even pool-recycled engine is
+// at worst one wasted CAS.
 
 // Engine run states (Engine.schedState).
 const (
-	// schedIdle: quiescent, not queued; a wake-up must enqueue it.
+	// schedIdle: quiescent, not queued; a wake-up must queue it.
 	schedIdle int32 = iota
-	// schedQueued: on some worker's run queue awaiting a fire pass.
+	// schedQueued: on a run list or inbox awaiting a fire pass.
 	schedQueued
 	// schedRunning: a worker is inside its fire pass.
 	schedRunning
@@ -54,9 +69,13 @@ const (
 	schedDirty
 )
 
-// engineRing is one worker's FIFO run queue: a growable ring so the
-// steady state — entries cycling through a warm buffer — allocates
-// nothing, no matter how many instances churn through the runtime.
+// pollEvery bounds the consecutive passes a worker takes from its run
+// list before it looks at the inboxes.
+const pollEvery = 61
+
+// engineRing is a FIFO of engines: a growable ring so the steady state —
+// entries cycling through a warm buffer — allocates nothing, no matter
+// how many instances churn through the runtime.
 type engineRing struct {
 	buf  []*Engine
 	head int
@@ -86,21 +105,54 @@ func (r *engineRing) pop() *Engine {
 	return e
 }
 
+// RuntimeStats is a snapshot of a Runtime's scheduling counters, summed
+// over its workers.
+type RuntimeStats struct {
+	// Passes counts the fire passes run: Local + Injected + Stolen.
+	Passes int64
+	// Local passes continued from the worker's run list, Injected ones
+	// came from its own inbox (wake-ups from outside the pool), Stolen
+	// ones from another worker's (its surplus, or an injection it had not
+	// reached).
+	Local, Injected, Stolen int64
+	// Parks counts how often a worker found nothing to run and slept.
+	Parks int64
+}
+
+// worker is one pool goroutine's state. run, streak and stats belong to
+// that goroutine alone; inbox and pub are guarded by rt.mu.
+type worker struct {
+	rt *Runtime
+	id int
+	// run is the private run list: engines this worker's passes woke.
+	run engineRing
+	// streak counts the passes taken from run since the worker last looked
+	// at the inboxes. Not a running total: an idle pool has no memory, so a
+	// recycled instance is scheduled exactly like a fresh one.
+	streak int
+	stats  RuntimeStats
+	// inbox is this worker's share of the injection queue.
+	inbox engineRing
+	// pub is the copy of stats that Stats reads: the owner refreshes it
+	// when it holds the lock anyway, so it lags a running worker by at
+	// most pollEvery passes and is exact for a parked or exited one.
+	pub RuntimeStats
+}
+
 // Runtime is a worker pool multiplexing region engines — of one
 // connector instance (dedicated mode) or of arbitrarily many (shared
 // mode) — over a fixed set of goroutines. The zero value is not usable;
 // build one with NewRuntime or use DefaultRuntime.
 type Runtime struct {
-	mu sync.Mutex
-	// queues[w] is worker w's FIFO run queue. One mutex guards them
-	// all: enqueues are O(1) and rare relative to the fires a single
-	// wake-up batches, so the runtime lock is not the hot path — the
-	// hot path (link push/pop) is lock-free.
-	queues   []engineRing
-	cond     *sync.Cond
-	sleeping int
-	closed   bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	workers []*worker
+	cond    *sync.Cond
+	// parked counts sleeping workers that no signal is in flight for.
+	// Written under mu; workers read it without the lock to decide
+	// whether surplus is worth publishing.
+	parked atomic.Int32
+	closed bool
+	wg     sync.WaitGroup
 	// nextHome hands out home workers round-robin across attach calls,
 	// so the instances of a shared runtime spread over the pool instead
 	// of all landing on worker 0.
@@ -114,19 +166,11 @@ type Runtime struct {
 
 // defaultRuntime is the lazily started process-global pool backing
 // instances connected with WithRuntime(nil).
-var (
-	defaultRuntime     *Runtime
-	defaultRuntimeOnce sync.Once
-)
+var defaultRuntime = sync.OnceValue(func() *Runtime { return NewRuntime(0) })
 
 // DefaultRuntime returns the process-global shared runtime, starting
 // its GOMAXPROCS workers on first use. It is never shut down.
-func DefaultRuntime() *Runtime {
-	defaultRuntimeOnce.Do(func() {
-		defaultRuntime = NewRuntime(0)
-	})
-	return defaultRuntime
-}
+func DefaultRuntime() *Runtime { return defaultRuntime() }
 
 // NewRuntime starts a shared runtime with the given number of workers
 // (<= 0 selects GOMAXPROCS). Instances attach to it via
@@ -147,29 +191,26 @@ func newDedicatedRuntime(workers int, engines []*Engine) *Runtime {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(engines) {
-		workers = len(engines)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rt := startRuntime(workers, true)
+	rt := startRuntime(max(1, min(workers, len(engines))), true)
 	rt.attach(engines)
 	return rt
 }
 
 func startRuntime(workers int, dedicated bool) *Runtime {
-	rt := &Runtime{queues: make([]engineRing, workers), dedicated: dedicated}
+	rt := &Runtime{workers: make([]*worker, workers), dedicated: dedicated}
 	rt.cond = sync.NewCond(&rt.mu)
 	rt.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go rt.worker(w)
+	for i := range rt.workers {
+		rt.workers[i] = &worker{rt: rt, id: i}
+	}
+	for _, w := range rt.workers { // after the loop above: next reads the siblings
+		go w.loop()
 	}
 	return rt
 }
 
 // Workers returns the pool size.
-func (rt *Runtime) Workers() int { return len(rt.queues) }
+func (rt *Runtime) Workers() int { return len(rt.workers) }
 
 // Attached returns the number of engines currently multiplexed over
 // the pool (diagnostics; racy by nature on a shared runtime).
@@ -177,6 +218,22 @@ func (rt *Runtime) Attached() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.attached
+}
+
+// Stats sums the workers' counters as they last published them (see
+// worker.pub): exact once the pool is idle or closed.
+func (rt *Runtime) Stats() RuntimeStats {
+	var s RuntimeStats
+	rt.mu.Lock()
+	for _, w := range rt.workers {
+		s.Local += w.pub.Local
+		s.Injected += w.pub.Injected
+		s.Stolen += w.pub.Stolen
+		s.Parks += w.pub.Parks
+	}
+	rt.mu.Unlock()
+	s.Passes = s.Local + s.Injected + s.Stolen
+	return s
 }
 
 // attach hands a fresh (or recycled) instance's engines to the pool:
@@ -189,23 +246,21 @@ func (rt *Runtime) attach(engines []*Engine) {
 	rt.mu.Lock()
 	for _, e := range engines {
 		e.sched = rt
-		e.homeWorker = int32(rt.nextHome % len(rt.queues))
+		e.homeWorker = int32(rt.nextHome % len(rt.workers))
 		rt.nextHome++
 		e.schedState.Store(schedIdle)
 	}
 	rt.attached += len(engines)
 	rt.mu.Unlock()
-	for _, e := range engines {
-		rt.wake(e)
-	}
+	rt.wake(engines...)
 }
 
 // detach returns a closing instance's engines to the quiescent state so
 // they can be recycled (or collected). Every engine must already be
 // closed or broken: closed engines produce no wake-ups, so once each
 // one is observed idle it stays idle. Entries still sitting in run
-// queues are left behind — workers drop them when the queued→running
-// claim fails.
+// lists and inboxes are left behind — workers drop them when the
+// queued→running claim fails.
 func (rt *Runtime) detach(engines []*Engine) {
 	for _, e := range engines {
 		for {
@@ -213,9 +268,9 @@ func (rt *Runtime) detach(engines []*Engine) {
 			if st == schedIdle {
 				break
 			}
-			// A queued engine can be reclaimed directly: its queue entry
-			// becomes stale and is dropped at pop time. Running or dirty
-			// means a worker is (about to be) inside a pass; wait it out.
+			// A queued engine can be reclaimed directly: its entry becomes
+			// stale and is dropped at pop time. Running or dirty means a
+			// worker is (about to be) inside a pass; wait it out.
 			if st == schedQueued && e.schedState.CompareAndSwap(schedQueued, schedIdle) {
 				break
 			}
@@ -228,71 +283,107 @@ func (rt *Runtime) detach(engines []*Engine) {
 	rt.mu.Unlock()
 }
 
-// wake requests a fire pass for e, deduplicating against one already
-// pending. Safe to call with an engine lock held: it only CASes the
-// target's run state and takes the runtime lock (engine locks are never
-// acquired under the runtime lock).
-func (rt *Runtime) wake(e *Engine) {
+// requestPass advances e's run state for one wake-up and reports whether
+// the caller must queue it; false means a pass that will see the change
+// is already pending (queued, or dirty), or was just made so.
+func (e *Engine) requestPass() bool {
 	for {
-		switch st := e.schedState.Load(); st {
+		switch e.schedState.Load() {
 		case schedIdle:
 			if e.schedState.CompareAndSwap(schedIdle, schedQueued) {
-				rt.enqueue(e)
-				return
+				return true
 			}
 		case schedRunning:
 			if e.schedState.CompareAndSwap(schedRunning, schedDirty) {
-				return
+				return false
 			}
-		default: // queued or dirty: a pass that sees the change is pending
-			return
+		default:
+			return false
 		}
 	}
 }
 
-func (rt *Runtime) enqueue(e *Engine) {
-	rt.mu.Lock()
-	if rt.closed {
-		// Workers are gone; the engine is (being) closed too, so the
-		// pass it asked for has nothing left to do.
+// wake requests a fire pass for each of es from outside the pool,
+// through the injection queue. Safe to call with an engine lock held: it
+// only CASes the targets' run states and takes the runtime lock (engine
+// locks are never acquired under the runtime lock).
+func (rt *Runtime) wake(es ...*Engine) {
+	locked := false
+	for _, e := range es {
+		if !e.requestPass() {
+			continue
+		}
+		if !locked {
+			rt.mu.Lock()
+			locked = true
+		}
+		rt.inject(rt.workers[e.homeWorker], e)
+	}
+	if locked {
 		rt.mu.Unlock()
+	}
+}
+
+// inject queues e on w's inbox and, if a worker is parked, signals it and
+// takes it off the parked count. Called with mu held. On a closed runtime
+// the workers are gone and e is (being) closed too, so the pass it asked
+// for has nothing left to do.
+func (rt *Runtime) inject(w *worker, e *Engine) {
+	if rt.closed {
 		return
 	}
-	rt.queues[e.homeWorker].push(e)
-	if rt.sleeping > 0 {
+	w.inbox.push(e)
+	if rt.parked.Load() > 0 {
+		rt.parked.Add(-1)
 		rt.cond.Signal()
 	}
-	rt.mu.Unlock()
 }
 
-// next returns the next queue entry for worker w: its own queue first,
-// then stolen from a sibling, else it parks. Returns nil on shutdown.
-func (rt *Runtime) next(w int) *Engine {
+// next returns the engine of the worker's next pass and the counter of
+// w.stats to credit it to (see the file comment for the order); nil on
+// shutdown.
+func (w *worker) next() (*Engine, *int64) {
+	rt := w.rt
+	if w.run.n > 0 && w.streak < pollEvery {
+		w.streak++
+		if w.run.n > 1 && rt.parked.Load() > 0 {
+			rt.mu.Lock()
+			if rt.parked.Load() > 0 {
+				rt.inject(w, w.run.pop())
+			}
+			rt.mu.Unlock()
+		}
+		return w.run.pop(), &w.stats.Local
+	}
+	w.streak = 0
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for {
-		if rt.closed {
-			return nil
-		}
-		if e := rt.queues[w].pop(); e != nil {
-			return e
-		}
-		// Steal: scan the siblings round-robin from our right neighbor.
-		for i := 1; i < len(rt.queues); i++ {
-			if e := rt.queues[(w+i)%len(rt.queues)].pop(); e != nil {
-				return e
+	for !rt.closed {
+		w.pub = w.stats
+		for i := range rt.workers {
+			if e := rt.workers[(w.id+i)%len(rt.workers)].inbox.pop(); e != nil {
+				if i == 0 {
+					return e, &w.stats.Injected
+				}
+				return e, &w.stats.Stolen
 			}
 		}
-		rt.sleeping++
+		if e := w.run.pop(); e != nil {
+			return e, &w.stats.Local
+		}
+		w.stats.Parks++
+		w.pub.Parks++
+		rt.parked.Add(1)
 		rt.cond.Wait()
-		rt.sleeping--
 	}
+	w.pub = w.stats
+	return nil, nil
 }
 
-func (rt *Runtime) worker(w int) {
-	defer rt.wg.Done()
+func (w *worker) loop() {
+	defer w.rt.wg.Done()
 	for {
-		e := rt.next(w)
+		e, passes := w.next()
 		if e == nil {
 			return
 		}
@@ -302,17 +393,18 @@ func (rt *Runtime) worker(w int) {
 		if !e.schedState.CompareAndSwap(schedQueued, schedRunning) {
 			continue
 		}
-		rt.runEngine(e)
+		*passes++
+		w.runEngine(e)
 	}
 }
 
-// runEngine performs one fire pass of e. Wake-ups the pass produced are
-// posted by flushWakes while the engine lock is still held (after
-// fireLoop returned, so every deferred link commit is published);
-// livelock accounting (noteTauProgress) runs there too, against the
-// instance's own region group, so one instance's throughput can never
-// mask another's relay livelock on a shared pool.
-func (rt *Runtime) runEngine(e *Engine) {
+// runEngine performs one fire pass of e. Wake-ups the pass produced go
+// on the worker's run list in flushWakes while the engine lock is still
+// held (after fireLoop returned, so every deferred link commit is
+// published); livelock accounting (noteTauProgress) runs there too,
+// against the instance's own region group, so one instance's throughput
+// can never mask another's relay livelock on a shared pool.
+func (w *worker) runEngine(e *Engine) {
 	e.mu.Lock()
 	if !e.closed && e.broken == nil {
 		e.fireLoop(pumpTrigger)
@@ -320,7 +412,7 @@ func (rt *Runtime) runEngine(e *Engine) {
 	}
 	// Flush nudges even from a pass that broke the engine: link-state
 	// changes it made before breaking must still wake the neighbors.
-	e.flushWakes()
+	e.flushWakes(w)
 	e.flushSignals()
 	closedNow := e.closed || e.broken != nil
 	e.mu.Unlock()
@@ -338,47 +430,49 @@ func (rt *Runtime) runEngine(e *Engine) {
 				return
 			}
 		} else if e.schedState.CompareAndSwap(schedDirty, schedQueued) {
-			rt.enqueue(e)
+			w.run.push(e)
 			return
 		}
 	}
 }
 
 // Close stops the workers and waits for them to exit. Idempotent. Every
-// attached instance must already be closed: pending queue entries are
-// dropped, which is only safe because a closed engine's pass has
-// nothing to fire. The process-global DefaultRuntime is never closed.
+// attached instance must already be closed: pending entries are dropped,
+// which is only safe because a closed engine's pass has nothing to fire.
+// The process-global DefaultRuntime is never closed.
 func (rt *Runtime) Close() error {
 	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		rt.wg.Wait()
-		return nil
+	if !rt.closed {
+		rt.closed = true
+		rt.parked.Store(0)
+		rt.cond.Broadcast()
 	}
-	rt.closed = true
-	rt.cond.Broadcast()
 	rt.mu.Unlock()
 	rt.wg.Wait()
 	return nil
 }
 
-// shutdown is Close under its historical (dedicated-pool) name.
-func (rt *Runtime) shutdown() { rt.Close() }
-
-// flushWakes posts the cross-region wake-ups collected by this engine's
-// fires to its runtime and resets the buffer in place, so the scheduler
-// path re-uses one nudge buffer forever instead of allocating per pass.
+// flushWakes turns the cross-region nudges collected by this engine's
+// fires into wake-ups — on w's private run list when the pass ran on
+// pool worker w, through the injection queue when w is nil (a task's
+// register) — and resets the buffer in place, so the scheduler path
+// re-uses one nudge buffer forever instead of allocating per pass.
 // Called with e.mu held, after fireLoop returned — every link commit
 // the fires deferred is published by then, so a woken neighbor always
 // observes the queue state that enabled it. (Lock order: engine locks
 // may take the runtime lock, never the reverse.)
-func (e *Engine) flushWakes() {
+func (e *Engine) flushWakes(w *worker) {
 	if len(e.outNudges) == 0 {
 		return
 	}
-	rt := e.sched
-	for _, t := range e.outNudges {
-		rt.wake(t)
+	if w == nil {
+		e.sched.wake(e.outNudges...)
+	} else {
+		for _, t := range e.outNudges {
+			if t.requestPass() {
+				w.run.push(t)
+			}
+		}
 	}
 	e.outNudges = e.outNudges[:0]
 }

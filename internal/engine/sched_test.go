@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -405,7 +406,13 @@ func TestSharedRuntimeCloseDuringParkedSend(t *testing.T) {
 // break only that instance's group — a sibling instance sharing the
 // same runtime keeps serving.
 func TestSharedRuntimeLivelockIsolation(t *testing.T) {
-	rt := engine.NewRuntime(2)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { livelockIsolation(t, workers) })
+	}
+}
+
+func livelockIsolation(t *testing.T, workers int) {
+	rt := engine.NewRuntime(workers)
 	defer rt.Close()
 	healthy, a, b := regionChain(t, engine.Options{Runtime: rt})
 	defer healthy.Close()
@@ -439,5 +446,176 @@ func TestSharedRuntimeLivelockIsolation(t *testing.T) {
 		if v, err := healthy.Recv(b); err != nil || v != i {
 			t.Fatalf("healthy recv %d = %v, %v", i, v, err)
 		}
+	}
+}
+
+// --- local-continuation tests -------------------------------------------
+
+// fifoChain builds stages Fifo1 buffers in a row between a and b. Every
+// buffer is cut, so the chain has stages links and stages+1 regions, and
+// with their capacity of 1 every hop of an item is a wake-up.
+func fifoChain(t *testing.T, stages int, opts engine.Options) (*engine.Multi, ca.PortID, ca.PortID) {
+	t.Helper()
+	u := ca.NewUniverse()
+	ports := make([]ca.PortID, stages+1)
+	for i := range ports {
+		ports[i] = u.Port(fmt.Sprintf("p%d", i))
+	}
+	u.SetDir(ports[0], ca.DirSource)
+	u.SetDir(ports[stages], ca.DirSink)
+	auts := make([]*ca.Automaton, stages)
+	for i := range auts {
+		auts[i] = prim.Fifo1(u, ports[i], ports[i+1])
+	}
+	m, err := engine.NewMultiRegions(u, auts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Partitions() != stages+1 {
+		t.Fatalf("partitions = %d, want %d", m.Partitions(), stages+1)
+	}
+	return m, ports[0], ports[stages]
+}
+
+// streamBatches moves batches batches of k ints from a to b and checks
+// their order. The sender's error is reported on the returned channel.
+func streamBatches(t *testing.T, m *engine.Multi, a, b ca.PortID, batches, k int) <-chan error {
+	t.Helper()
+	sent := make(chan error, 1)
+	go func() {
+		vals := make([]any, k)
+		for i := 0; i < batches; i++ {
+			for j := range vals {
+				vals[j] = i*k + j
+			}
+			if _, err := m.SendBatch(a, vals); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	buf := make([]any, k)
+	for i := 0; i < batches; i++ {
+		if _, err := m.RecvBatch(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range buf {
+			if v != i*k+j {
+				t.Fatalf("batch %d item %d = %v", i, j, v)
+			}
+		}
+	}
+	return sent
+}
+
+// TestRuntimeContinuesLocally: streaming batches through the 8-stage
+// chain, the workers must find most of their passes on their own run
+// lists, and what went through the injection queue must be accounted for
+// by the task operations and the parks, not grow with the hops.
+func TestRuntimeContinuesLocally(t *testing.T) {
+	const stages, batches, k = 8, 40, 64
+	rt := engine.NewRuntime(2)
+	m, a, b := fifoChain(t, stages, engine.Options{Runtime: rt})
+	sent := streamBatches(t, m, a, b, batches, k)
+	if err := waitForErr(t, sent, 5*time.Second, "sender"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Steps(), int64(batches*k*(stages+1)); got != want {
+		t.Errorf("Steps() = %d, want %d", got, want)
+	}
+	// Closing the pool joins the workers, which makes the snapshot exact.
+	m.Close()
+	rt.Close()
+	st := rt.Stats()
+	t.Logf("stats: %+v", st)
+	if st.Passes != st.Local+st.Injected+st.Stolen {
+		t.Errorf("passes %d != local %d + injected %d + stolen %d", st.Passes, st.Local, st.Injected, st.Stolen)
+	}
+	hops := int64(batches * k * stages)
+	if st.Passes < hops {
+		t.Errorf("passes = %d, want at least one per hop (%d)", st.Passes, hops)
+	}
+	if 2*st.Local <= st.Passes {
+		t.Errorf("only %d of %d passes continued locally, want the majority", st.Local, st.Passes)
+	}
+	// A ring entry is a wake-up from outside — at most two per task
+	// operation (a region has two neighbors), one per region at attach —
+	// or surplus, published once per parked worker.
+	taskOps := int64(2 * batches)
+	if shared, bound := st.Injected+st.Stolen, 2*taskOps+int64(stages+1)+st.Parks; shared > bound {
+		t.Errorf("%d passes came through the injection queue, want at most %d (task operations and parks); hops: %d", shared, bound, hops)
+	}
+}
+
+// TestRuntimeOneWorkerFairness: on a one-worker pool, an instance that
+// keeps the worker's run list from ever emptying — by streaming without
+// end, or by spinning a token through a closed relay cycle with an
+// unbounded τ budget — must not keep a sibling's operations from
+// completing: the worker looks at the injection queue at a bounded
+// interval.
+func TestRuntimeOneWorkerFairness(t *testing.T) {
+	hogs := map[string]func(t *testing.T, rt *engine.Runtime) (stop func()){
+		"streaming": func(t *testing.T, rt *engine.Runtime) func() {
+			m, a, b := fifoChain(t, 8, engine.Options{Runtime: rt})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				vals := make([]any, 64)
+				for {
+					if _, err := m.SendBatch(a, vals); err != nil {
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				buf := make([]any, 64)
+				for {
+					if _, err := m.RecvBatch(b, buf); err != nil {
+						return
+					}
+				}
+			}()
+			return func() { m.Close(); wg.Wait() }
+		},
+		"spinning": func(t *testing.T, rt *engine.Runtime) func() {
+			u := ca.NewUniverse()
+			x, y := u.Port("x"), u.Port("y")
+			auts := []*ca.Automaton{prim.Fifo1Full(u, x, y, prim.Token{}), prim.Fifo1(u, y, x)}
+			m, err := engine.NewMultiRegions(u, auts, engine.Options{Runtime: rt, MaxTauBurst: math.MaxInt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() { m.Close() }
+		},
+	}
+	for name, hog := range hogs {
+		t.Run(name, func(t *testing.T) {
+			rt := engine.NewRuntime(1)
+			defer rt.Close()
+			stop := hog(t, rt)
+			defer stop()
+			m, a, b := regionChain(t, engine.Options{Runtime: rt})
+			defer m.Close()
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < 20; i++ {
+					if err := m.Send(a, i); err != nil {
+						done <- err
+						return
+					}
+					if v, err := m.Recv(b); err != nil || v != i {
+						done <- fmt.Errorf("recv %d = %v, %v", i, v, err)
+						return
+					}
+				}
+				done <- nil
+			}()
+			if err := waitForErr(t, done, 20*time.Second, "the sibling's operations"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

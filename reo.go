@@ -422,10 +422,11 @@ func WithPartitioning(mode PartitionMode) ConnectOption {
 }
 
 // WithWorkers runs the regions of a PartitionRegions instance on an
-// n-worker scheduler: cross-region wake-ups are posted to a worker pool
-// (a work-stealing run queue keyed by region) instead of being drained
-// inline on the goroutine whose Send/Recv fired, so the regions of one
-// connector occupy up to n cores concurrently.
+// n-worker scheduler: cross-region wake-ups go to a worker pool (a
+// worker continues with the regions its own fires woke; idle workers
+// take its surplus) instead of being drained inline on the goroutine
+// whose Send/Recv fired, so the regions of one connector occupy up to n
+// cores concurrently.
 //
 // n = 0 (the default) keeps today's synchronous draining: all region
 // fires run on the callers' goroutines, which preserves the strongest
@@ -456,6 +457,9 @@ func WithWorkers(n int) ConnectOption {
 // use the process-global default.
 type Runtime = engine.Runtime
 
+// RuntimeStats is the scheduling-counter snapshot Runtime.Stats returns.
+type RuntimeStats = engine.RuntimeStats
+
 // NewRuntime starts a shared runtime with the given number of workers
 // (<= 0 selects GOMAXPROCS). Close it only after every instance
 // attached to it has been closed.
@@ -472,7 +476,7 @@ func DefaultRuntime() *Runtime { return engine.DefaultRuntime() }
 // over one fixed set of workers — and Connect/Close churn spawns no
 // goroutines. rt == nil selects the process-global DefaultRuntime.
 //
-// Execution semantics match WithWorkers (wake-up posting, stealing,
+// Execution semantics match WithWorkers (the same scheduler,
 // per-region seeds, the τ-livelock budget — scoped per instance, so one
 // instance's throughput never masks another's livelock); only pool
 // ownership differs. Connect fails with an OptionError unless
@@ -897,9 +901,9 @@ type RegionInfo struct {
 	// Links counts the buffered link endpoints attached to the partition
 	// (0 unless PartitionRegions cut a buffer at its boundary).
 	Links int
-	// Worker is the scheduler worker the region's run queue is keyed to
-	// under WithWorkers (idle workers may steal it), or -1 when the
-	// instance runs without a worker pool.
+	// Worker is the region's home worker under WithWorkers/WithRuntime:
+	// the one whose inbox its wake-ups from tasks are queued on (any
+	// worker may run it). -1 when the instance runs without a worker pool.
 	Worker int
 	// Steps/Expansions/GuardEvals are the partition's share of the
 	// instance counters.

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	reo "repro"
@@ -203,6 +204,9 @@ func TestManyInstancesFireAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, fire); allocs != 0 {
 		t.Errorf("steady-state fire allocates %.2f times, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(100, func() { reo.DefaultRuntime().Stats() }); allocs != 0 {
+		t.Errorf("Runtime.Stats allocates %.2f times, want 0", allocs)
+	}
 }
 
 // TestChurnAllocGrowth is the nightly leak gate: many thousands of
@@ -313,6 +317,102 @@ func TestReuseExploreSchedules(t *testing.T) {
 				t.Errorf("seed %d round %d: recycled run diverged: %s\nconnector:\n%s\nrepro: go test -run '%s' .",
 					seed, round, d, bc.Conn.Source(), t.Name())
 			}
+		}
+	}
+}
+
+// TestReuseChurnOnBusyRuntime recycles a deterministic connector on a
+// shared 2-worker runtime while a sibling instance streams on the same
+// workers. Close leaves the recycled regions behind as stale hints in the
+// workers' private run lists and in the injection queue; they must be
+// dropped, never run, so every recycled run repeats the fresh one: the same
+// values in the same order, the same Steps and GuardEvals.
+func TestReuseChurnOnBusyRuntime(t *testing.T) {
+	const src = `Chain(a;b) =
+    prod (i:1..1) Fifo1(a;m1)
+    mult prod (i:1..1) Fifo1(m1;m2)
+    mult prod (i:1..1) Fifo1(m2;m3)
+    mult prod (i:1..1) Fifo1(m3;b)
+`
+	conn, err := reo.MustCompile(src).Connector("Chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := reo.NewRuntime(2)
+	defer rt.Close()
+	onRT := []reo.ConnectOption{reo.WithSeed(7), reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt)}
+
+	sibling, err := conn.Connect(nil, onRT...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for out := sibling.Outport("a"); out.Send(0) == nil; {
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for in := sibling.Inport("b"); ; {
+			if _, err := in.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer sibling.Close()
+
+	type result struct {
+		seq               []any
+		steps, guardEvals int64
+	}
+	const items = 64
+	var expansions int64 // of the last run; 0 on a recycled instance, whose cache is warm
+	run := func() result {
+		t.Helper()
+		inst, err := conn.Connect(nil, append(onRT, reo.WithReuse(true))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close() // recycles into the template pool
+		sent := make(chan error, 1)
+		go func() {
+			out := inst.Outport("a")
+			for i := 0; i < items; i++ {
+				if err := out.Send(i); err != nil {
+					sent <- err
+					return
+				}
+			}
+			sent <- nil
+		}()
+		var r result
+		for in := inst.Inport("b"); len(r.seq) < items; {
+			v, err := in.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.seq = append(r.seq, v)
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+		r.steps, r.guardEvals = inst.Steps(), inst.GuardEvals()
+		expansions = inst.Expansions()
+		return r
+	}
+	fresh := run()
+	if want := int64(items * 5); fresh.steps != want {
+		t.Fatalf("fresh run took %d steps, want %d", fresh.steps, want)
+	}
+	for round := 0; round < 50; round++ {
+		if recycled := run(); !reflect.DeepEqual(fresh, recycled) {
+			t.Fatalf("round %d: recycled run differs from the fresh one\nfresh:    %+v\nrecycled: %+v", round, fresh, recycled)
+		}
+		if expansions != 0 {
+			t.Fatalf("round %d: %d expansions, want 0: the instance was not recycled", round, expansions)
 		}
 	}
 }
