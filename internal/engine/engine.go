@@ -63,13 +63,18 @@ type Options struct {
 	Runtime *Runtime
 }
 
-// op is one pending port operation. Every op is a batch: vals holds the
-// items — the values to send on a source port, or the destination buffer
-// of a receive on a sink port — and cur counts how many of them fired
-// transitions have already moved. Scalar Send/Recv are the k=1 case on
-// the same code path: they alias the one-slot inline array, so the pool
-// round-trip stays allocation-free and the firing path never branches on
-// scalar-vs-batch.
+// op is one port operation. Every op is a batch: vals holds the items —
+// the values to send on a source port, or the destination buffer of a
+// receive on a sink port — and cur counts how many of them fired
+// transitions have already moved. Scalar Send/Recv are the k=1 case on the
+// same code path: they alias the one-slot inline array, so the firing path
+// never branches on scalar-vs-batch.
+//
+// An op starts life in its engine's scratch slot. One whose last item fires
+// (or which a break fails) before register's fire loop quiesces never
+// leaves it: register hands the result back under the lock. Only an op
+// that must wait for a peer migrates to a pooled op and parks (see
+// register).
 type op struct {
 	send bool
 	// vals are the operation's items; the engine reads/writes vals[cur]
@@ -80,9 +85,10 @@ type op struct {
 	cur    int
 	inline [1]any
 	err    error
-	// done carries the single completion signal. It is buffered so the
-	// engine never blocks signaling it, and reusable so completed ops can
-	// return to the pool instead of being reallocated per operation.
+	// done carries the single completion signal of a parked op; nil on the
+	// scratch slot, which nobody waits for. It is buffered so the engine
+	// never blocks signaling it, and reusable so a completed op returns to
+	// the pool instead of being reallocated per park.
 	done chan struct{}
 }
 
@@ -135,7 +141,12 @@ type Engine struct {
 	tracer   Tracer
 	// enabledBuf is the reusable candidate buffer of fireLoop.
 	enabledBuf []int32
-	opPool     sync.Pool
+	// scratch is the op every operation registers in; it is pending only
+	// inside register's critical section, so no other goroutine ever sees
+	// it. opPool holds the channel-carrying ops that parked operations
+	// migrate to.
+	scratch op
+	opPool  sync.Pool
 
 	// Region-link support (see region.go). All nil/empty unless the
 	// engine is one region of a NewMultiRegions coordinator.
@@ -480,30 +491,15 @@ func (e *Engine) PlanDeliver(p ca.PortID, v any) {
 // Send registers a send operation on port p and blocks until a transition
 // involving p fires (completing the operation) or the connector closes.
 func (e *Engine) Send(p ca.PortID, v any) error {
-	o := e.getOp(true)
-	o.inline[0] = v
-	o.vals = o.inline[:1]
-	_, err := e.runOp(p, o)
+	_, _, err := e.do(p, true, nil, v)
 	return err
 }
 
 // Recv registers a receive operation on port p and blocks until a value is
 // delivered or the connector closes.
 func (e *Engine) Recv(p ca.PortID) (any, error) {
-	o := e.getOp(false)
-	o.vals = o.inline[:1]
-	nudges, err := e.register(p, o)
-	if err != nil {
-		e.putOp(o)
-		return nil, err
-	}
-	if len(nudges) > 0 {
-		e.processNudges(nudges)
-	}
-	<-o.done
-	out, err := o.inline[0], o.err
-	e.putOp(o)
-	return out, err
+	_, v, err := e.do(p, false, nil, nil)
+	return v, err
 }
 
 // SendBatch registers one operation carrying all of vs on port p and
@@ -511,7 +507,7 @@ func (e *Engine) Recv(p ca.PortID) (any, error) {
 // the connector closes/breaks). The batch is an ordered sequence of
 // independent items, not an atomic group: items are accepted one
 // transition firing at a time, exactly as len(vs) consecutive Send calls
-// would be, but under a single engine-lock registration and a single
+// would be, but under a single engine-lock registration and at most one
 // completion handshake. Returns how many items were accepted (always
 // len(vs) on nil error). The engine reads vs in place; the caller must
 // not mutate it until SendBatch returns. An empty batch is a no-op.
@@ -519,9 +515,8 @@ func (e *Engine) SendBatch(p ca.PortID, vs []any) (int, error) {
 	if len(vs) == 0 {
 		return 0, nil
 	}
-	o := e.getOp(true)
-	o.vals = vs
-	return e.runOp(p, o)
+	n, _, err := e.do(p, true, vs, nil)
+	return n, err
 }
 
 // RecvBatch registers one operation that fills buf and blocks until
@@ -534,77 +529,106 @@ func (e *Engine) RecvBatch(p ca.PortID, buf []any) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	o := e.getOp(false)
-	o.vals = buf
-	return e.runOp(p, o)
-}
-
-// runOp drives a prepared op through register/park/complete and recycles
-// it, returning the number of items moved.
-func (e *Engine) runOp(p ca.PortID, o *op) (int, error) {
-	nudges, err := e.register(p, o)
-	if err != nil {
-		e.putOp(o)
-		return 0, err
-	}
-	if len(nudges) > 0 {
-		e.processNudges(nudges)
-	}
-	<-o.done
-	n, err := o.cur, o.err
-	e.putOp(o)
+	n, _, err := e.do(p, false, buf, nil)
 	return n, err
 }
 
-func (e *Engine) getOp(send bool) *op {
-	if x := e.opPool.Get(); x != nil {
-		o := x.(*op)
-		o.send = send
-		return o
+// do runs one operation on port p — a batch over vals, or the scalar v
+// when vals is nil — and returns the number of items moved and the
+// scalar slot (the value a scalar Recv received). It parks only if
+// register could not finish the operation itself.
+func (e *Engine) do(p ca.PortID, send bool, vals []any, v any) (int, any, error) {
+	o, n, out, nudges, err := e.register(p, send, vals, v)
+	if len(nudges) > 0 {
+		e.processNudges(nudges)
 	}
-	return &op{send: send, done: make(chan struct{}, 1)}
+	if o == nil {
+		return n, out, err
+	}
+	<-o.done
+	n, out, err = o.cur, o.inline[0], o.err
+	o.clear()
+	e.opPool.Put(o)
+	return n, out, err
 }
 
-// putOp recycles a completed op. Only the goroutine that registered the op
-// may call it, after receiving the completion signal. The reset drops the
-// value slice reference (it may alias caller memory) and the inline slot,
-// so pooled ops never pin user payloads between operations.
-func (e *Engine) putOp(o *op) {
+// getOp returns a pooled op for an operation that has to park.
+func (e *Engine) getOp() *op {
+	if x := e.opPool.Get(); x != nil {
+		return x.(*op)
+	}
+	return &op{done: make(chan struct{}, 1)}
+}
+
+// clear drops the value slice reference (it may alias caller memory) and
+// the inline slot, so neither the scratch slot nor a pooled op pins user
+// payloads between operations.
+func (o *op) clear() {
 	o.vals, o.cur, o.err = nil, 0, nil
 	o.inline[0] = nil
-	e.opPool.Put(o)
 }
 
-// register adds a pending operation and runs the fire loop. It returns
-// the cross-region nudges the fires produced (captured under the lock);
-// the caller must deliver them via processNudges after unlocking. On
-// error the op was not pended and the caller still owns it.
-func (e *Engine) register(p ca.PortID, o *op) ([]*Engine, error) {
+// admit reports why an operation may not pend on port p right now, nil
+// if it may. Called with mu held.
+func (e *Engine) admit(p ca.PortID, send bool) error {
+	switch {
+	case e.closed:
+		return ErrClosed
+	case e.broken != nil:
+		return e.broken
+	case int(p) >= len(e.pend):
+		return fmt.Errorf("engine: unknown port %d", p)
+	case send && e.dirs[p] != ca.DirSource:
+		return fmt.Errorf("engine: send on non-source port %q", e.u.Name(p))
+	case !send && e.dirs[p] != ca.DirSink:
+		return fmt.Errorf("engine: recv on non-sink port %q", e.u.Name(p))
+	case e.pend[p] != nil:
+		return ErrPortBusy
+	}
+	return nil
+}
+
+// register pends the operation in the scratch slot and runs the fire
+// loop. If the loop finished the operation — its last item fired, or a
+// break failed it — the result (n, out, err) is read back from the slot,
+// still under the lock: no channel, no pooled op, nothing another
+// goroutine could observe. Otherwise the operation, with whatever part of
+// its batch already moved, migrates to a pooled op that takes the slot's
+// place in pend; that op is returned and the caller parks on its channel.
+// Either way the slot is cleared before unlocking. Also returned are the
+// cross-region nudges the fires produced (captured under the lock), which
+// the caller must deliver via processNudges after unlocking.
+func (e *Engine) register(p ca.PortID, send bool, vals []any, v any) (parked *op, n int, out any, nudges []*Engine, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrClosed
+	if err := e.admit(p, send); err != nil {
+		return nil, 0, nil, nil, err
 	}
-	if e.broken != nil {
-		return nil, e.broken
+	o := &e.scratch
+	o.send = send
+	scalar := vals == nil
+	if scalar {
+		o.inline[0] = v
+		vals = o.inline[:1]
 	}
-	if int(p) >= len(e.pend) {
-		return nil, fmt.Errorf("engine: unknown port %d", p)
-	}
-	if o.send && e.dirs[p] != ca.DirSource {
-		return nil, fmt.Errorf("engine: send on non-source port %q", e.u.Name(p))
-	}
-	if !o.send && e.dirs[p] != ca.DirSink {
-		return nil, fmt.Errorf("engine: recv on non-sink port %q", e.u.Name(p))
-	}
-	if e.pend[p] != nil {
-		return nil, ErrPortBusy
-	}
+	o.vals = vals
 	e.pend[p] = o
 	e.pendMask.Set(p)
 	e.registered.Add(1)
 	e.fireLoop(p)
 	e.flushSignals()
+	if e.pend[p] == o {
+		parked = e.getOp()
+		parked.send, parked.vals, parked.cur = send, vals, o.cur
+		if scalar {
+			parked.inline = o.inline
+			parked.vals = parked.inline[:1]
+		}
+		e.pend[p] = parked
+	} else {
+		n, out, err = o.cur, o.inline[0], o.err
+	}
+	o.clear()
 	if e.sched != nil {
 		// Runtime mode: post the wake-ups right here, while still holding
 		// the lock (safe — wake never takes an engine lock) and reusing
@@ -613,11 +637,10 @@ func (e *Engine) register(p ca.PortID, o *op) ([]*Engine, error) {
 		// left to deliver.
 		e.noteCompletion()
 		e.flushWakes(nil)
-		return nil, nil
+	} else {
+		nudges, e.outNudges = e.outNudges, nil
 	}
-	nudges := e.outNudges
-	e.outNudges = nil
-	return nudges, nil
+	return parked, n, out, nudges, err
 }
 
 // tryEnable appends plan i to the candidate buffer if its sync set is
@@ -838,13 +861,24 @@ func (e *Engine) advanceOps(pl *ca.Plan, traced *[]TracePort) bool {
 			o.cur++
 			progressed = true
 			if o.cur == len(o.vals) {
-				e.pend[p] = nil
-				e.pendMask.Clear(p)
-				o.done <- struct{}{}
+				e.complete(p, o, nil)
 			}
 		}
 	}
 	return progressed
+}
+
+// complete takes op o off port p with the given outcome and wakes its
+// parked owner. The scratch slot has no owner to wake: the goroutine that
+// registered it holds mu right now and reads the outcome when its fire
+// loop returns. Called with mu held.
+func (e *Engine) complete(p ca.PortID, o *op, err error) {
+	o.err = err
+	e.pend[p] = nil
+	e.pendMask.Clear(p)
+	if o.done != nil {
+		o.done <- struct{}{}
+	}
 }
 
 // fuseBudget returns how many additional consecutive firings of flow
@@ -936,13 +970,9 @@ func (e *Engine) fireFused(ex *expanded, pl *ca.Plan) bool {
 func (e *Engine) break_(err error) {
 	e.broken = err
 	for p, o := range e.pend {
-		if o == nil {
-			continue
+		if o != nil {
+			e.complete(ca.PortID(p), o, err)
 		}
-		o.err = err
-		e.pend[p] = nil
-		e.pendMask.Clear(ca.PortID(p))
-		o.done <- struct{}{}
 	}
 	if e.group != nil {
 		// The goroutine is joined by the group's WaitGroup: instance
@@ -972,13 +1002,9 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	for p, o := range e.pend {
-		if o == nil {
-			continue
+		if o != nil {
+			e.complete(ca.PortID(p), o, ErrClosed)
 		}
-		o.err = ErrClosed
-		e.pend[p] = nil
-		e.pendMask.Clear(ca.PortID(p))
-		o.done <- struct{}{}
 	}
 	return nil
 }

@@ -416,7 +416,7 @@ func TestEngineCloseUnblocks(t *testing.T) {
 	go func() {
 		errc <- e.Send(a, 1)
 	}()
-	time.Sleep(tick)
+	engine.WaitRegistered(t, e, 1)
 	e.Close()
 	within(t, 5*time.Second, "unblock on close", func() {
 		if err := <-errc; err != engine.ErrClosed {
@@ -434,11 +434,22 @@ func TestEnginePortBusy(t *testing.T) {
 	u.SetDir(a, ca.DirSource)
 	u.SetDir(b, ca.DirSink)
 	e := newEngine(t, u, []*ca.Automaton{prim.Sync(u, a, b)}, engine.Options{})
-	go e.Send(a, 1)
-	time.Sleep(tick)
+	parked := make(chan error, 1)
+	go func() { parked <- e.Send(a, 1) }()
+	engine.WaitRegistered(t, e, 1)
 	if err := e.Send(a, 2); err != engine.ErrPortBusy {
 		t.Errorf("err = %v, want ErrPortBusy", err)
 	}
+	// The refused operation must leave the parked one intact: it still
+	// completes with its own value.
+	within(t, 5*time.Second, "parked send", func() {
+		if v, err := e.Recv(b); err != nil || v != 1 {
+			t.Errorf("recv = %v, %v; want 1", v, err)
+		}
+		if err := <-parked; err != nil {
+			t.Errorf("parked send err = %v", err)
+		}
+	})
 }
 
 func TestEngineWrongDirection(t *testing.T) {

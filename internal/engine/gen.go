@@ -336,9 +336,7 @@ func (e *Engine) advanceOpsGen(t *genTrans, traced *[]TracePort) bool {
 		o.cur++
 		progressed = true
 		if o.cur == len(o.vals) {
-			e.pend[p] = nil
-			e.pendMask.Clear(p)
-			o.done <- struct{}{}
+			e.complete(p, o, nil)
 		}
 	}
 	return progressed

@@ -251,7 +251,9 @@ func TestRegionsClosePropagatesToPending(t *testing.T) {
 			}
 		}
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// The chain buffers a single item, so this many operations means
+	// both sides are streaming.
+	engine.WaitRegistered(t, m, 64)
 	m.Close()
 	for i := 0; i < 2; i++ {
 		select {

@@ -112,9 +112,8 @@ func TestWorkersCloseDuringParkedRecv(t *testing.T) {
 		_, err := m.Recv(b)
 		parked <- err
 	}()
-	// Give the recv time to park (nothing is ever sent, so it cannot
-	// complete any other way).
-	time.Sleep(20 * time.Millisecond)
+	// Nothing is ever sent, so once registered the recv is parked.
+	engine.WaitRegistered(t, m, 1)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +392,7 @@ func TestSharedRuntimeCloseDuringParkedSend(t *testing.T) {
 	go func() {
 		parked <- m.Send(a, 2) // buffer full: parks
 	}()
-	time.Sleep(20 * time.Millisecond)
+	engine.WaitRegistered(t, m, 2)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
