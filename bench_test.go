@@ -20,7 +20,6 @@ import (
 	reo "repro"
 	"repro/internal/bench"
 	"repro/internal/connlib"
-	"repro/internal/genlib/lane"
 	"repro/internal/npb"
 )
 
@@ -244,42 +243,6 @@ func BenchmarkFireSteady(b *testing.B) {
 	out := inst.Outport("a")
 	in := inst.Inport("b")
 	// Warm: visit both composite states.
-	if err := out.Send(0); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := in.Recv(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := out.Send(i & 0xff); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := in.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(inst.GuardEvals())/float64(inst.Steps()), "guardevals/step")
-}
-
-// BenchmarkFireSteadyGenerated is BenchmarkFireSteady on the static
-// code-generation backend: the identical Fifo1 lane, compiled ahead of
-// time by `reoc gen` into internal/genlib/lane, moving one value end to
-// end per iteration. The delta against BenchmarkFireSteady is the
-// remaining interpretation tax of the engine's firing path (state-key
-// packing, cache lookup, plan walking, bitset dispatch), which the
-// generated backend replaces with straight-line control flow. Must also
-// report 0 allocs/op.
-func BenchmarkFireSteadyGenerated(b *testing.B) {
-	inst, err := lane.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer inst.Close()
-	out := inst.Outport("a")
-	in := inst.Inport("b")
 	if err := out.Send(0); err != nil {
 		b.Fatal(err)
 	}

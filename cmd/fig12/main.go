@@ -25,8 +25,6 @@ func main() {
 		reps     = flag.Int("reps", 1, "repetitions of the sweep; best steps per cell reported (use >= 3 for CI gating)")
 		verbose  = flag.Bool("v", false, "progress output")
 		jsonPath = flag.String("json", "", "also write machine-readable results (BENCH_fig12.json schema) to this file")
-		withGen  = flag.Bool("gen", false, "also measure the static code-generation backend against the interpreted engine (the bench-gen Lane cells) and append the rows to -json")
-		genItems = flag.Int("gen-items", 1<<17, "values moved per generated-backend measurement (with -gen)")
 	)
 	flag.Parse()
 
@@ -67,30 +65,6 @@ func main() {
 	fmt.Print(bench.FormatFig12(rows))
 
 	jsonRows := bench.Fig12JSONRows(rows, *budget)
-	if *withGen {
-		var best []bench.GenResult
-		for r := 0; r < *reps; r++ {
-			res, err := bench.RunGenSteady(*genItems)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fig12:", err)
-				os.Exit(1)
-			}
-			if best == nil {
-				best = res
-				continue
-			}
-			for i := range best {
-				if res[i].Elapsed < best[i].Elapsed {
-					best[i] = res[i]
-				}
-			}
-		}
-		fmt.Println("\nGenerated backend (reoc gen) vs interpreted engine, Lane connector:")
-		for _, r := range best {
-			fmt.Printf("  %-12s %12.0f steps/s\n", r.Approach, r.StepsPerSec())
-		}
-		jsonRows = append(jsonRows, bench.GenJSONRows(best)...)
-	}
 	if *jsonPath != "" {
 		if err := bench.WriteJSONRows(*jsonPath, jsonRows); err != nil {
 			fmt.Fprintln(os.Stderr, "fig12:", err)

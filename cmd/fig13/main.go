@@ -26,7 +26,7 @@ func main() {
 		partition = flag.String("partition", "off", "partition the Reo connectors: off, components (§V-C(3) fix), or regions (buffer-boundary cut)")
 		workers   = flag.Int("workers", 0, "scheduler workers for partition=regions (0 = synchronous, <0 = GOMAXPROCS)")
 		fullExp   = flag.Bool("full-expansion", false, "textbook joint enumeration (reproduces the §V-C(3) blow-up)")
-		backend   = flag.String("backend", "interpreted", "Reo-variant backend: interpreted (the connector engine) or generated (static parametric code, `reoc gen -parametric`)")
+		backend   = flag.String("backend", "interpreted", "Reo-variant backend: interpreted (the connector engine) or generated (static per-region code, `reoc gen`)")
 		jsonPath  = flag.String("json", "", "also write machine-readable results (BENCH_fig13.json schema, fig12 -json parity) to this file")
 	)
 	flag.Parse()

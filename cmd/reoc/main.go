@@ -10,7 +10,7 @@
 //	reoc automata file.reo Connector [-n N]
 //	reoc plan file.reo Connector [-n N]
 //	reoc regions file.reo Connector [-n N] [-workers W]
-//	reoc gen file.reo Connector [-n N | -parametric] [-o dir] [-pkg name] [-force]
+//	reoc gen file.reo Connector [-o dir] [-pkg name] [-force]
 //	reoc verify file.reo Connector [-n N]
 //	reoc explore [-seed S] [-rounds R] [-max-ops K] [-max-prims P] [-backends list] [-shrink] [-selfcheck-mutate]
 //	reoc bench-compare baseline.json current.json... [-threshold 0.25]
@@ -318,11 +318,11 @@ func benchBatch(outPath string, rest []string) {
 }
 
 // benchGen runs the generated-vs-interpreted comparisons and writes
-// fig12-schema rows for the perf-regression gate: the FireSteady lane on
-// both backends (internal/genlib/lane), the n-lane RegionScaling fabric
-// on both backends (interpreted region partitioning vs the parametric
-// internal/genlib/fabric package), and one NPB program on the generated
-// fabric — best of -reps runs each.
+// fig12-schema rows for the perf-regression gate: the interpreted
+// FireSteady lane, the n-lane RegionScaling fabric on both backends
+// (interpreted region partitioning vs the internal/genlib/fabric
+// package), and one NPB program on the generated fabric — best of -reps
+// runs each.
 func benchGen(outPath string, rest []string) {
 	fs := flag.NewFlagSet("bench-gen", flag.ExitOnError)
 	items := fs.Int("items", 1<<17, "values moved end to end per measurement")
@@ -354,7 +354,8 @@ func benchGen(outPath string, rest []string) {
 	}
 	var results []bench.GenResult
 	results = append(results, bestOf(func() ([]bench.GenResult, error) {
-		return bench.RunGenSteady(*items)
+		res, err := bench.RunGenSteady(*items)
+		return []bench.GenResult{res}, err
 	})...)
 	results = append(results, bestOf(func() ([]bench.GenResult, error) {
 		return bench.RunGenRegionScaling(*lanes, *fabricItems)
@@ -591,7 +592,7 @@ func usage() {
   reoc automata file.reo Connector [-n N]
   reoc plan     file.reo Connector [-n N]
   reoc regions  file.reo Connector [-n N] [-workers W]
-  reoc gen      file.reo Connector [-n N | -parametric] [-o dir] [-pkg name] [-force]
+  reoc gen      file.reo Connector [-o dir] [-pkg name] [-force]
   reoc verify   file.reo Connector [-n N]
   reoc explore  [-seed S] [-rounds R] [-max-ops K] [-max-prims P] [-backends list] [-shrink] [-selfcheck-mutate] [-v]
   reoc bench-compare baseline.json current.json... [-threshold 0.25] [-min-rows K]

@@ -6,18 +6,10 @@
 // tasks contain no synchronization code at all: they just send and
 // receive on their ports.
 //
-// The example runs on either connector backend (see README.md for the
-// full walkthrough):
+// The protocol is compiled once, at run time, and instantiated at the
+// requested number of producers (see README.md for the walkthrough):
 //
-//	go run ./examples/quickstart -n 5                      # interpreted
-//	go run ./examples/quickstart -backend generated        # reoc gen output
-//
-// The interpreted backend compiles the protocol at run time and
-// executes it on the engine; the generated backend imports the
-// statically compiled package in ./genordered (emitted by `reoc gen`
-// from ordered.reo at N=3) and runs the same tasks over it — the
-// protocol has become plain Go control flow, with no automata left at
-// run time.
+//	go run ./examples/quickstart -n 5
 package main
 
 import (
@@ -26,14 +18,12 @@ import (
 	"log"
 
 	reo "repro"
-
-	"repro/examples/quickstart/genordered"
 )
 
 // The protocol module (Fig. 9 of the paper): parametric in the number of
 // producers. X buffers a producer's message and exposes ordering hooks
 // (prev/next) that the Seq primitives chain into a global round-robin.
-// ordered.reo holds the same definitions for `reoc gen`.
+// ordered.reo holds the same definitions for the reoc inspection commands.
 const protocol = `
 X(tl;prev,next,hd) =
     Replicator(tl;prev,v) mult Fifo1(v;w) mult Replicator(w;next,hd)
@@ -52,24 +42,10 @@ main(N) = Ordered(out[1..N];in[1..N]) among
 `
 
 func main() {
-	n := flag.Int("n", 4, "number of producers (interpreted backend; the generated backend is compiled for N=3)")
+	n := flag.Int("n", 4, "number of producers")
 	rounds := flag.Int("rounds", 3, "messages per producer")
-	backend := flag.String("backend", "interpreted", "connector backend: interpreted | generated")
 	flag.Parse()
 
-	switch *backend {
-	case "interpreted":
-		runInterpreted(*n, *rounds)
-	case "generated":
-		runGenerated(*rounds)
-	default:
-		log.Fatalf("unknown -backend %q (want interpreted or generated)", *backend)
-	}
-}
-
-// runInterpreted compiles the protocol at run time and executes the
-// main definition on the engine.
-func runInterpreted(n, rounds int) {
 	prog, err := reo.Compile(protocol)
 	if err != nil {
 		log.Fatal(err)
@@ -80,7 +56,7 @@ func runInterpreted(n, rounds int) {
 	tasks := reo.Tasks{
 		"Tasks.producer": func(tp reo.TaskPorts) error {
 			out := tp.Outs[0]
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < *rounds; r++ {
 				if err := out.Send(fmt.Sprintf("%s says hello (round %d)", out.Name(), r)); err != nil {
 					return err
 				}
@@ -88,7 +64,7 @@ func runInterpreted(n, rounds int) {
 			return nil
 		},
 		"Tasks.consumer": func(tp reo.TaskPorts) error {
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < *rounds; r++ {
 				for _, in := range tp.Ins {
 					v, err := in.Recv()
 					if err != nil {
@@ -101,53 +77,9 @@ func runInterpreted(n, rounds int) {
 		},
 	}
 
-	res, err := prog.Run(map[string]int{"N": n}, tasks)
+	res, err := prog.Run(map[string]int{"N": *n}, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndone: %d tasks, %d global connector steps\n", res.TaskCount, res.Steps)
-}
-
-// runGenerated executes the identical producer/consumer tasks over the
-// statically compiled connector: same protocol, same round-robin
-// delivery order, but every transition is a specialized Go function in
-// package genordered. The boundary vertices carry the connector's own
-// parameter names (tl/hd instead of the main definition's out/in).
-func runGenerated(rounds int) {
-	inst, err := genordered.New()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer inst.Close()
-
-	producers := inst.Ports("tl")
-	done := make(chan error, len(producers))
-	for _, port := range producers {
-		out := inst.Outport(port)
-		go func() {
-			for r := 0; r < rounds; r++ {
-				if err := out.Send(fmt.Sprintf("%s says hello (round %d)", out.Name(), r)); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for r := 0; r < rounds; r++ {
-		for _, port := range inst.Ports("hd") {
-			v, err := inst.Inport(port).Recv()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("consumer got:", v)
-		}
-	}
-	for range producers {
-		if err := <-done; err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("\ndone: %d tasks, %d global connector steps (generated backend, %d states / %d transitions compiled)\n",
-		len(producers)+1, inst.Steps(), inst.States(), inst.Transitions())
 }

@@ -6,20 +6,18 @@ import (
 
 	reo "repro"
 	"repro/internal/genlib/fabric"
-	"repro/internal/genlib/lane"
 	"repro/internal/npb"
 )
 
-// This file measures the static code-generation backend against the
-// interpreted engine on the identical workload: the BenchmarkFireSteady
-// shape (one Fifo1 lane, one value moved end to end per iteration,
-// scalar Send/Recv on a warmed instance). Rows land in the fig12 JSON
-// schema under the approaches "interpreted" and "generated", so the
-// perf-regression gate tracks both the interpreted baseline and the
-// generated backend's advantage over it.
+// This file measures the generated backend (region templates bound over
+// the genrun runtime) against the interpreted engine on identical
+// workloads, next to the interpreted BenchmarkFireSteady shape (one Fifo1
+// lane, one value moved end to end per iteration, scalar Send/Recv on a
+// warmed instance). Rows land in the fig12 JSON schema under the
+// approaches "interpreted" and "generated", so the perf-regression gate
+// tracks both the interpreted baseline and the generated backend.
 
-// laneSrc is the FireSteady connector; internal/genlib/lane is its
-// checked-in generated twin (pinned byte-identical by the golden test).
+// laneSrc is the FireSteady connector.
 const laneSrc = `Lane(a;b) = Fifo1(a;b)`
 
 // GenResult is one backend's measurement.
@@ -42,21 +40,9 @@ func (r GenResult) StepsPerSec() float64 {
 	return float64(r.Steps) / r.Elapsed.Seconds()
 }
 
-// RunGenSteady moves `items` values through the lane on both backends
-// and returns one measurement per approach (interpreted first).
-func RunGenSteady(items int) ([]GenResult, error) {
-	interp, err := runInterpretedLane(items)
-	if err != nil {
-		return nil, err
-	}
-	generated, err := runGeneratedLane(items)
-	if err != nil {
-		return nil, err
-	}
-	return []GenResult{interp, generated}, nil
-}
-
-func runInterpretedLane(items int) (GenResult, error) {
+// RunGenSteady moves `items` values through the interpreted lane and
+// returns its measurement: the steady-state dispatch floor of the gate.
+func RunGenSteady(items int) (GenResult, error) {
 	res := GenResult{Approach: "interpreted", Connector: "Lane", N: 1, Items: items}
 	prog, err := reo.Compile(laneSrc)
 	if err != nil {
@@ -85,39 +71,16 @@ func runInterpretedLane(items int) (GenResult, error) {
 	return res, nil
 }
 
-func runGeneratedLane(items int) (GenResult, error) {
-	res := GenResult{Approach: "generated", Connector: "Lane", N: 1, Items: items}
-	inst, err := lane.New()
-	if err != nil {
-		return res, err
-	}
-	defer inst.Close()
-	out, in := inst.Outport("a"), inst.Inport("b")
-	if out == nil || in == nil {
-		return res, fmt.Errorf("bench: generated lane ports not found")
-	}
-	if err := pingPong(out.Send, func() error { _, err := in.Recv(); return err }, 1); err != nil {
-		return res, err
-	}
-	start := time.Now()
-	if err := pingPong(out.Send, func() error { _, err := in.Recv(); return err }, items); err != nil {
-		return res, err
-	}
-	res.Elapsed = time.Since(start)
-	res.Steps = inst.Steps() - 2
-	return res, nil
-}
-
-// --- region-scaling cells: parametric generated vs interpreted ------------
+// --- region-scaling cells: generated vs interpreted -----------------------
 
 // fabricSrc is the pure region-scaling shape (n independent Fifo1
-// lanes); internal/genlib/fabric is its parametric generated twin.
+// lanes); internal/genlib/fabric is its generated twin.
 const fabricSrc = `Fabric(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])`
 
 // RunGenRegionScaling moves `items` values through every lane of an
 // n-lane fabric on both backends — the interpreted engine under region
 // partitioning (the decomposition the generated runtime always uses)
-// and the parametric generated package — and returns one measurement
+// and the generated package — and returns one measurement
 // per approach (interpreted first). The whole per-lane stream moves as
 // one batched port operation, so the timed window is almost pure region
 // fire loop: exactly the dispatch the static code replaces.

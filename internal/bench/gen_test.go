@@ -8,50 +8,33 @@ import (
 	"repro/internal/npb"
 )
 
-// TestRunGenSteadyRows pins the generated-backend sweep's row shape:
-// both approaches measured, fig12-schema keys stable (they are gated
-// against BENCH_baseline.json), rates positive, and the JSON writer
-// round-trippable by the gate's reader.
+// TestRunGenSteadyRows pins the interpreted lane's row shape: the
+// fig12-schema key is stable (it is gated against BENCH_baseline.json),
+// the rate positive, and the JSON writer round-trippable by the gate's
+// reader.
 func TestRunGenSteadyRows(t *testing.T) {
-	results, err := bench.RunGenSteady(2000)
+	res, err := bench.RunGenSteady(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := bench.GenJSONRows(results)
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if res.StepsPerSec() <= 0 {
+		t.Errorf("non-positive rate %f", res.StepsPerSec())
 	}
-	wantKeys := map[string]bool{
-		"interpreted/Lane/N=1": false,
-		"generated/Lane/N=1":   false,
-	}
-	for _, r := range rows {
-		if r.StepsPerSec <= 0 {
-			t.Errorf("%s/%s: non-positive rate %f", r.Approach, r.Connector, r.StepsPerSec)
-		}
-		key := bench.CompareRow{Approach: r.Approach, Connector: r.Connector, N: r.N}.Key()
-		if _, ok := wantKeys[key]; !ok {
-			t.Errorf("unexpected gate key %q", key)
-			continue
-		}
-		wantKeys[key] = true
-	}
-	for k, seen := range wantKeys {
-		if !seen {
-			t.Errorf("gate key %q missing", k)
-		}
+	key := bench.CompareRow{Approach: res.Approach, Connector: res.Connector, N: res.N}.Key()
+	if key != "interpreted/Lane/N=1" {
+		t.Errorf("gate key %q, want interpreted/Lane/N=1", key)
 	}
 
 	path := filepath.Join(t.TempDir(), "gen.json")
-	if err := bench.WriteGenJSON(path, results); err != nil {
+	if err := bench.WriteGenJSON(path, []bench.GenResult{res}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := bench.ReadCompareRows(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 {
-		t.Errorf("gate reader got %d rows, want 2", len(back))
+	if len(back) != 1 {
+		t.Errorf("gate reader got %d rows, want 1", len(back))
 	}
 }
 

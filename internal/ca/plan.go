@@ -102,6 +102,22 @@ type Plan struct {
 	outs     []outOp
 	scratch  []any
 	outVals  []any
+
+	// nativeGuards and nativeExec, on a plan built by NativePlan, stand in
+	// for the compiled steps above (which it has none of).
+	nativeGuards func() bool
+	nativeExec   func()
+}
+
+// NativePlan returns a plan over sync whose guard conjunction and data
+// actions are Go code instead of compiled steps: CheckGuards reports
+// guards() and Execute runs exec(), neither of which can fail. Either may
+// be nil (no guards / no actions). The closures reach the pending values,
+// cells and deliveries through whatever context they captured; the engine
+// lowers the transitions of generated region templates this way, so they
+// fire through the same loop as compiled ones.
+func NativePlan(sync BitSet, guards func() bool, exec func()) *Plan {
+	return &Plan{Sync: sync, nativeGuards: guards, nativeExec: exec}
 }
 
 // planCompiler carries the state of one plan compilation.
@@ -263,6 +279,9 @@ func (p *Plan) runOps(ops []slotOp, from, to int32, cells []any, host PlanHost) 
 // with guard reads in the interpreter's order, so which guard fails — or
 // which resolution error surfaces first — is unchanged.
 func (p *Plan) CheckGuards(cells []any, host PlanHost) (bool, error) {
+	if p.nativeGuards != nil {
+		return p.nativeGuards(), nil
+	}
 	var done int32
 	for i := range p.guards {
 		g := &p.guards[i]
@@ -310,6 +329,10 @@ func (p *Plan) Reset() {
 // interpreter's memoization semantics, which matters for stateful or
 // expensive transformations.
 func (p *Plan) Execute(cells []any, host PlanHost) error {
+	if p.nativeExec != nil {
+		p.nativeExec()
+		return nil
+	}
 	var done int32
 	for i := range p.outs {
 		o := &p.outs[i]

@@ -8,9 +8,8 @@ import (
 
 // Backend is the minimal runtime contract shared by the interpreted
 // engine and the packages emitted by `reoc gen`: a connector instance
-// addressed by boundary vertex *names* rather than ca.PortID, so that a
-// generated package — which is self-contained and cannot import this
-// module — satisfies it structurally with stdlib types only.
+// addressed by boundary vertex *names* rather than ca.PortID, so that
+// drivers need nothing but stdlib types to talk to either.
 //
 // Code written against Backend (the differential harness, the
 // generated-vs-interpreted benchmarks, examples) runs unchanged on
@@ -85,6 +84,18 @@ func NewNamed(c Coordinator, sources, sinks map[string][]NamedPort) *Named {
 type NamedPort struct {
 	Name string
 	ID   int32
+}
+
+// NamedPorts builds one side of a NewNamed table from an assembly's
+// parameter → ports map (compile.Assembly's Tails or Heads).
+func NamedPorts(u *ca.Universe, side map[string][]ca.PortID) map[string][]NamedPort {
+	out := make(map[string][]NamedPort, len(side))
+	for param, ports := range side {
+		for _, p := range ports {
+			out[param] = append(out[param], NamedPort{Name: u.Name(p), ID: int32(p)})
+		}
+	}
+	return out
 }
 
 func (n *Named) resolve(port string, source bool) (ca.PortID, error) {

@@ -23,4 +23,8 @@
 // can actually enable — not to the state's out-degree. Expanded states
 // link to the successors already visited from them, so re-entering a
 // known state costs a pointer load.
+//
+// A region whose code was generated ahead of time (BindGen, gen.go) gets
+// its whole table of expanded states at bind time instead, with plans
+// that call Go closures; it is fired by the same loop.
 package engine

@@ -127,6 +127,10 @@ type Engine struct {
 	// known without a lookup, nil otherwise (always nil when the cache is
 	// bounded: every visit must then be seen by the eviction policy).
 	cur *expanded
+	// bound, when non-nil, is the complete table BindGen lowered a
+	// generated template into, indexed by the region automaton's local
+	// state: expandState answers from it and never expands (see gen.go).
+	bound []*expanded
 	// gates is boundary ∪ linkGate: the ports dispatch is indexed by.
 	gates ca.BitSet
 	// stepBuf, portFill and portBuf are scratch: the clusters of the state
@@ -183,11 +187,6 @@ type Engine struct {
 	// τ-budget signals. linkBurst/lastSeen are the engine's τ-burst
 	// accounting against its group's completion counter (one worker runs
 	// an engine at a time; both are touched only under mu).
-	// gen, when non-nil, switches the fire loop to a generated region
-	// template bound by BindGen (see gen.go). Everything outside the
-	// loop — ops, links, nudges, runtime, close/break/reset — is shared.
-	gen *genMode
-
 	sched          *Runtime
 	schedState     atomic.Int32
 	homeWorker     int32
@@ -283,7 +282,8 @@ func (e *Engine) finish() error {
 // transitions in candidate order, plus dispatch indexes over them. It holds
 // nothing of size k per transition: plans are shared with every other
 // composite state that offers the same cluster, and successors are the
-// clusters' sparse deltas.
+// clusters' sparse deltas. BindGen builds the same structure, complete and
+// with every succ filled, for each local state of a generated region.
 type expanded struct {
 	plans []*ca.Plan
 	// deltas[i] lists the constituents plan i moves and where to.
@@ -351,17 +351,16 @@ func (e *Engine) planDir(p ca.PortID) ca.Dir {
 // expandState returns the expansion of the given composite state, using
 // the cache. Must be called with mu held.
 func (e *Engine) expandState(state []int32) *expanded {
+	if e.bound != nil {
+		return e.bound[state[0]]
+	}
 	k := e.packer.Key(state)
 	if ex, ok := e.cache.get(k); ok {
 		return ex
 	}
 	if e.expander == nil {
 		e.expander = ca.NewExpander(e.auts, e.opts.Expand)
-		e.gates = e.boundary.Clone()
-		if e.linkGate != nil {
-			e.gates.OrInto(e.linkGate)
-		}
-		e.portFill = make([]int32, e.u.NumPorts())
+		e.initDispatch()
 	}
 	e.stepBuf = e.expander.Expand(state, e.stepBuf[:0])
 	n := len(e.stepBuf)
@@ -388,6 +387,16 @@ func (e *Engine) expandState(state []int32) *expanded {
 	e.expansions.Add(1)
 	e.cache.put(k, ex)
 	return ex
+}
+
+// initDispatch sets up what indexPorts works from. Link endpoints must be
+// final (initLinks).
+func (e *Engine) initDispatch() {
+	e.gates = e.boundary.Clone()
+	if e.linkGate != nil {
+		e.gates.OrInto(e.linkGate)
+	}
+	e.portFill = make([]int32, e.u.NumPorts())
 }
 
 // indexPorts builds ex's dispatch indexes in two passes over the gated
@@ -697,10 +706,6 @@ const pumpTrigger ca.PortID = -1
 // are included for robustness. After a fire the composite state
 // and cells have changed, so subsequent iterations scan the full state.
 func (e *Engine) fireLoop(trigger ca.PortID) {
-	if e.gen != nil {
-		e.fireLoopGen(trigger)
-		return
-	}
 	e.fireCompleted, e.fireLinkActive = false, false
 	if e.broken != nil {
 		return

@@ -25,7 +25,8 @@
 //
 //   - A lane matrix (lanes.go): the region-partitioned interpreted
 //     engine is the reference; the in-process generated backend
-//     (internal/gen.InProcBinder → engine.BindGen → fireLoopGen) shares
+//     (internal/gen.InProcBinder → engine.BindGen: the same fire loop
+//     over tables lowered from closures instead of compiled plans) shares
 //     its region plan, choice streams, and cooperative scheduling, and
 //     is compared strictly (per-port sequences, Steps, GuardEvals) on
 //     every connector. All other lanes — WithWorkers, WithRuntime,

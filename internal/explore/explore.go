@@ -67,8 +67,8 @@ type Report struct {
 	Orders   int // schedule orders executed
 	LaneRuns int // lane executions (compared, self-checked, or smoked)
 	Skipped  int // cross-structure comparisons skipped on lazy connector errors
-	// GenRegions sums, over gen-lane runs, how many regions executed
-	// generated dispatch (fireLoopGen) — the lane's real coverage.
+	// GenRegions sums, over gen-lane runs, how many regions ran on a
+	// bound template (engine.BindGen) — the lane's real coverage.
 	GenRegions int
 	Failure    *Failure
 }

@@ -171,7 +171,7 @@ func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend
 		if err == nil {
 			inner := coord
 			coord = nil
-			named := engine.NewNamed(inner, namedSources(asm), namedSinks(asm))
+			named := engine.NewNamed(inner, engine.NamedPorts(asm.U, asm.Tails), engine.NamedPorts(asm.U, asm.Heads))
 			return named, func() error {
 				cerr := named.Close()
 				rt.Close()
@@ -193,31 +193,11 @@ func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	named := engine.NewNamed(coord, namedSources(asm), namedSinks(asm))
+	named := engine.NewNamed(coord, engine.NamedPorts(asm.U, asm.Tails), engine.NamedPorts(asm.U, asm.Heads))
 	return named, named.Close, genBound, nil
 }
 
 func withRuntime(opts engine.Options, rt *engine.Runtime) engine.Options {
 	opts.Runtime = rt
 	return opts
-}
-
-func namedSources(asm *compile.Assembly) map[string][]engine.NamedPort {
-	out := make(map[string][]engine.NamedPort, len(asm.Tails))
-	for name, ports := range asm.Tails {
-		for _, p := range ports {
-			out[name] = append(out[name], engine.NamedPort{Name: asm.U.Name(p), ID: int32(p)})
-		}
-	}
-	return out
-}
-
-func namedSinks(asm *compile.Assembly) map[string][]engine.NamedPort {
-	out := make(map[string][]engine.NamedPort, len(asm.Heads))
-	for name, ports := range asm.Heads {
-		for _, p := range ports {
-			out[name] = append(out[name], engine.NamedPort{Name: asm.U.Name(p), ID: int32(p)})
-		}
-	}
-	return out
 }

@@ -9,37 +9,27 @@ import (
 )
 
 // RunCLI implements the `reoc gen` subcommand: it reads a protocol
-// source file, generates the named connector, and writes the emitted
-// package file into the output directory. It returns a process exit
+// source file, generates the named connector's package (one template
+// per region shape, instantiable at any array length), and writes the
+// emitted file into the output directory. It returns a process exit
 // code and prints human-readable errors to stderr, so cmd/reoc can
 // delegate to it directly and tests can exercise every error path
 // without spawning a process.
 //
-// Usage: reoc gen file.reo Connector [-n N | -parametric] [-o dir] [-pkg name] [-force]
+// Usage: reoc gen file.reo Connector [-o dir] [-pkg name] [-force]
 func RunCLI(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 2 {
-		fmt.Fprintln(stderr, "usage: reoc gen file.reo Connector [-n N | -parametric] [-o dir] [-pkg name] [-force]")
+		fmt.Fprintln(stderr, "usage: reoc gen file.reo Connector [-o dir] [-pkg name] [-force]")
 		return 2
 	}
 	file, connector := args[0], args[1]
 	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	n := fs.Int("n", 3, "array length for every array parameter (fixed-N expansion)")
-	parametric := fs.Bool("parametric", false, "emit a parametric-N package (per-region templates over the genrun runtime) instead of a fixed-N expansion")
 	outDir := fs.String("o", ".", "output directory (created if missing)")
 	pkg := fs.String("pkg", "", "package name (default: lower-cased connector name)")
 	force := fs.Bool("force", false, "overwrite an existing generated file")
-	maxStates := fs.Int("max-states", 0, "ahead-of-time expansion bound (default 4096, fixed-N only)")
 	if err := fs.Parse(args[2:]); err != nil {
 		return 2
-	}
-	// Reject a nonsensical length eagerly, before any parsing or
-	// flattening work: arrays are nonempty, so there is no connector to
-	// expand at n <= 0 and the deep failure the compiler would eventually
-	// produce only obscures the actual mistake.
-	if *n <= 0 {
-		fmt.Fprintf(stderr, "reoc gen: invalid option -n: array length %d must be >= 1 (arrays are nonempty)\n", *n)
-		return 1
 	}
 
 	src, err := os.ReadFile(file)
@@ -47,18 +37,7 @@ func RunCLI(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "reoc gen:", err)
 		return 1
 	}
-	cfg := Config{
-		Connector: connector,
-		Package:   *pkg,
-		N:         *n,
-		MaxStates: *maxStates,
-	}
-	var g *Generated
-	if *parametric {
-		g, err = GenerateParametric(string(src), cfg)
-	} else {
-		g, err = Generate(string(src), cfg)
-	}
+	g, err := GenerateParametric(string(src), Config{Connector: connector, Package: *pkg})
 	if err != nil {
 		fmt.Fprintln(stderr, "reoc gen:", err)
 		return 1
@@ -78,12 +57,7 @@ func RunCLI(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "reoc gen:", err)
 		return 1
 	}
-	if *parametric {
-		fmt.Fprintf(stdout, "reoc gen: wrote %s (package %s: %d region templates, %d states, %d transitions, any n)\n",
-			target, g.Package, g.Templates, g.States, g.Transitions)
-	} else {
-		fmt.Fprintf(stdout, "reoc gen: wrote %s (package %s: %d composite states, %d transitions)\n",
-			target, g.Package, g.States, g.Transitions)
-	}
+	fmt.Fprintf(stdout, "reoc gen: wrote %s (package %s: %d region templates, %d states, %d transitions, any n)\n",
+		target, g.Package, g.Templates, g.States, g.Transitions)
 	return 0
 }

@@ -81,7 +81,7 @@ func TestCLICollisionNeedsForce(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("first generation failed: %s", stderr)
 	}
-	if !strings.Contains(stdout, "lane_gen.go") || !strings.Contains(stdout, "2 composite states") {
+	if !strings.Contains(stdout, "lane_gen.go") || !strings.Contains(stdout, "1 region templates") {
 		t.Errorf("unexpected success output %q", stdout)
 	}
 	// Second run collides with the existing file.
@@ -103,31 +103,15 @@ func TestCLIBadPackageName(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsNonpositiveN pins the eager length check: a zero or
-// negative -n is diagnosed as such before any source file is even read,
-// instead of surfacing as a confusing instantiation failure.
-func TestCLIRejectsNonpositiveN(t *testing.T) {
-	for _, n := range []string{"0", "-2"} {
-		code, _, stderr := runCLI(t, filepath.Join(t.TempDir(), "absent.reo"), "Lane", "-n", n)
-		if code != 1 || !strings.Contains(stderr, "invalid option -n") ||
-			!strings.Contains(stderr, "must be >= 1") {
-			t.Errorf("-n %s: got code %d, stderr %q; want eager invalid-option error", n, code, stderr)
-		}
-		if strings.Contains(stderr, "absent.reo") {
-			t.Errorf("-n %s: source file was read before the length check: %q", n, stderr)
-		}
-	}
-}
-
-// TestCLIParametric runs the -parametric path end to end on an arrayed
-// connector the fixed-N path would have to expand per length.
+// TestCLIParametric runs the CLI end to end on an arrayed connector: one
+// generation run, one template, any length.
 func TestCLIParametric(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lanes.reo")
 	if err := os.WriteFile(path, []byte("Lanes(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out := t.TempDir()
-	code, stdout, stderr := runCLI(t, path, "Lanes", "-parametric", "-o", out)
+	code, stdout, stderr := runCLI(t, path, "Lanes", "-o", out)
 	if code != 0 {
 		t.Fatalf("parametric generation failed: %s", stderr)
 	}
@@ -143,24 +127,5 @@ func TestCLIParametric(t *testing.T) {
 		if !strings.Contains(string(emitted), want) {
 			t.Errorf("emitted package missing %q", want)
 		}
-	}
-}
-
-// TestGenerateStateBound pins the ErrTooLarge-style failure mode: a
-// connector whose reachable composite space exceeds MaxStates must be
-// rejected at generation time with a pointer to the JIT alternative.
-func TestGenerateStateBound(t *testing.T) {
-	src := `Lanes(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])`
-	_, err := gen.Generate(src, gen.Config{Connector: "Lanes", N: 6, MaxStates: 16})
-	if err == nil || !strings.Contains(err.Error(), "composite states") {
-		t.Errorf("got %v; want a MaxStates error", err)
-	}
-	// The same connector fits with an adequate bound.
-	g, err := gen.Generate(src, gen.Config{Connector: "Lanes", N: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.States != 8 {
-		t.Errorf("3 independent lanes expanded to %d states, want 8", g.States)
 	}
 }

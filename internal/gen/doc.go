@@ -1,31 +1,32 @@
-// Package gen is the static code-generation backend of the compiler:
+// Package gen is the static code-generation backend of the compiler.
 // `reoc gen` runs the ordinary front-end pipeline
-// (lexer→parser→sema→flatten→compile→instantiate) for one connector at
-// concrete array lengths, expands the reachable composite state space
-// ahead of time — the same joint expansion the engine performs lazily —
-// and emits a self-contained Go package in which every joint transition
-// is a specialized function: synchronization-set checks become pointer
-// tests against a pending-operation table, data guards become inlined
-// conditionals, cell moves become direct assignments, and pure-flow
-// transitions fuse whole batches into `copy` loops. The emitted package
-// depends only on the standard library and implements the same
-// name-addressed runtime contract as the interpreted engine
-// (engine.Backend), so the two are drop-in interchangeable.
+// (lexer→parser→sema→flatten→compile) for one connector, instantiates it
+// at a few probe lengths, partitions each instance into asynchronous
+// regions exactly as the interpreted PartitionRegions path does, and
+// emits one static template per distinct single-automaton region *shape*
+// (ca.CanonicalRegion): state/transition tables over port slots, with
+// every guard conjunction and data move a straight-line Go closure. The
+// emitted package holds those templates plus the connector's source text
+// and calls genrun.New(n), which re-plans the regions at the requested
+// length and binds each matching region to its template — one generation
+// run serves every N, and no composite state space is ever materialized.
 //
-// The generated dispatch loop replicates the interpreted engine's
-// observable semantics exactly — candidate enumeration order, the
-// seeded choice among enabled transitions, batched-operation cursor
-// advancement, the fused pure-flow fast path, and the Steps/GuardEvals
-// accounting — so that for a fixed operation arrival order the two
-// backends produce identical per-port sequences (pinned by the
-// differential tests in this package). What changes is the cost per
-// step: there is no composite-state cache, no bitset algebra, and no
-// plan walking at run time; the whole automaton is resident as Go
-// control flow.
+// There is one lowering and one loop. engine.BindGen turns a template
+// into the dispatch table the engine walks anyway (one pre-linked entry
+// per local state, ca.NativePlan plans), so a bound region and an
+// interpreted region run the same fireLoop over the same table shape:
+// candidate order, seeded choice, batch cursors, fused pure-flow bursts,
+// tracing, the τ budget and the Steps/GuardEvals accounting are shared
+// code, not replicated behaviour. What a bound region skips is
+// just-in-time expansion and plan interpretation. Regions no template
+// matches (node regions, multi-automaton regions, shapes that cannot be
+// re-emitted) stay interpreted, so an instance is correct at every N.
 //
-// Like the paper's pre-parametrization compiler, this trades
-// generality for speed: generation materializes the reachable state
-// space and fails with an ErrTooLarge-style error when it exceeds
-// Config.MaxStates, where the interpreted JIT engine would simply
-// expand states on demand.
+// parametric.go is the ahead-of-time printer (templates as Go source);
+// inproc.go builds the same templates as closures in process, which is
+// what lets the schedule explorer and the differential tests bind
+// arbitrary connectors without the Go toolchain. The differential tests
+// in this package pin per-port sequences, Steps and GuardEvals of bound
+// instances against interpreted ones, and the golden test pins the
+// checked-in internal/genlib packages byte for byte.
 package gen

@@ -1,12 +1,7 @@
 // Package gendrv is the deterministic differential driver shared by the
-// interpreted engine and the packages emitted by `reoc gen`.
-//
-// This file is self-contained (stdlib only) on purpose: internal/gen
-// embeds its source verbatim into the throwaway module the differential
-// test builds, so the exact same schedule drives both backends — the
-// interpreted one in-process through reo.Instance.Backend(), and the
-// generated one inside the harness binary. Any edit here changes both
-// sides at once; there is no second copy to drift.
+// interpreted engine and the packages emitted by `reoc gen`: the exact
+// same schedule drives both backends through the name-addressed Backend
+// surface.
 //
 // Determinism. A connector's per-port delivered sequences depend on the
 // order operations arrive and on the engine's seeded choice among

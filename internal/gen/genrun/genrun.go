@@ -1,8 +1,8 @@
-// Package genrun is the shared runtime of parametric generated
-// connectors: the packages `reoc gen -parametric` emits contain only
-// their embedded source text and a list of static region templates
-// (state/transition tables with inlined guard/exec closures), and call
-// genrun.New to turn them into a live instance at any array length N.
+// Package genrun is the shared runtime of generated connectors: the
+// packages `reoc gen` emits contain only their embedded source text and
+// a list of static region templates (state/transition tables with
+// inlined guard/exec closures), and call genrun.New to turn them into a
+// live instance at any array length N.
 //
 // New runs the ordinary compilation pipeline (parse → check → compile →
 // instantiate) to obtain the connector's constituent automata, plans the
@@ -10,13 +10,14 @@
 // does, and then — instead of interpreting each region's transition
 // plans — binds the matching static template to every region whose
 // canonical structure (ca.CanonicalRegion) one of the templates was
-// generated for. Bound regions fire through the engine's generated fast
-// path (engine.BindGen); regions without a matching template (node
-// regions, shapes that appeared only at other N, connectors edited since
-// generation) silently stay interpreted, so the instance is always
-// correct — generation is a per-region acceleration, not a semantic
-// fork. Batched ports, WithWorkers/WithRuntime scheduling, and the
-// region links all work identically on bound and interpreted regions.
+// generated for. Bound regions fire through the engine's one fire loop,
+// over the table engine.BindGen lowers the template into; regions
+// without a matching template (node regions, shapes that appeared only
+// at other N, connectors edited since generation) silently stay
+// interpreted, so the instance is always correct — generation is a
+// per-region acceleration, not a semantic fork. Batched ports,
+// WithWorkers/WithRuntime scheduling, and the region links all work
+// identically on bound and interpreted regions.
 package genrun
 
 import (
@@ -240,20 +241,8 @@ func New(src, connector string, n int, templates []*Template, opts ...Option) (*
 		return nil, err
 	}
 
-	sources := make(map[string][]engine.NamedPort)
-	for name, ports := range asm.Tails {
-		for _, p := range ports {
-			sources[name] = append(sources[name], engine.NamedPort{Name: asm.U.Name(p), ID: int32(p)})
-		}
-	}
-	sinks := make(map[string][]engine.NamedPort)
-	for name, ports := range asm.Heads {
-		for _, p := range ports {
-			sinks[name] = append(sinks[name], engine.NamedPort{Name: asm.U.Name(p), ID: int32(p)})
-		}
-	}
 	return &Instance{
-		Named:     engine.NewNamed(m, sources, sinks),
+		Named:     engine.NewNamed(m, engine.NamedPorts(asm.U, asm.Tails), engine.NamedPorts(asm.U, asm.Heads)),
 		m:         m,
 		regions:   m.Partitions(),
 		generated: generated,

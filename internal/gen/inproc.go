@@ -4,12 +4,11 @@ package gen
 // emitting Go source (parametric.go) and compiling a scratch module, it
 // compiles each region automaton's ca.Transitions directly into
 // engine.GenTemplate closures and hands them to engine.BindGen. The
-// result runs on the exact same generated fast path (fireLoopGen) as
-// `reoc gen -parametric` output — same candidate enumeration, seeded
-// choice, fused flow bursts — which is what makes it usable as a
-// differential lane for arbitrary connectors: the schedule explorer
-// (internal/explore) generates random connectors and binds them here
-// without ever shelling out to the Go toolchain.
+// result is lowered into the same dispatch tables as `reoc gen` output
+// and fires through the engine's one fire loop, which is what makes it
+// usable as a differential lane for arbitrary connectors: the schedule
+// explorer (internal/explore) generates random connectors and binds them
+// here without ever shelling out to the Go toolchain.
 //
 // The closure compiler mirrors ca.CompilePlan's resolution rules
 // (sources read pending values, sinks receive deliveries, hidden ports

@@ -13,10 +13,8 @@ import (
 	"repro/internal/sema"
 )
 
-// This file implements the parametric-N code generation path. Where
-// Generate (gen.go) expands the whole composite state space ahead of
-// time for one fixed array length, GenerateParametric emits one static
-// template per *region shape*: the connector is probed at a few array
+// This file implements the code generator. GenerateParametric emits one
+// static template per *region shape*: the connector is probed at a few array
 // lengths, partitioned into asynchronous regions exactly as the
 // interpreted PartitionRegions path partitions it, and every distinct
 // solid single-automaton region structure (ca.CanonicalRegion) becomes
@@ -89,9 +87,9 @@ type pModel struct {
 // GenerateParametric compiles one connector of src and emits its
 // parametric package: a thin shell over internal/gen/genrun holding the
 // embedded source and one static template per distinct region shape.
-// Unlike Generate's output the emitted package is not self-contained —
-// it imports the genrun runtime — and its New takes the array length:
-// New(n, opts...) works for every n >= 1 from one generation run.
+// The emitted package imports the genrun runtime, and its New takes the
+// array length: New(n, opts...) works for every n >= 1 from one
+// generation run.
 func GenerateParametric(src string, cfg Config) (*Generated, error) {
 	m, err := buildParametricModel(src, cfg)
 	if err != nil {
@@ -139,22 +137,10 @@ func buildParametricModel(src string, cfg Config) (*pModel, error) {
 	}
 
 	m := &pModel{cfg: cfg, src: src}
-	probes := probeLengths
-	if cfg.N > 0 {
-		extra := true
-		for _, n := range probes {
-			if n == cfg.N {
-				extra = false
-			}
-		}
-		if extra {
-			probes = append(append([]int(nil), probes...), cfg.N)
-		}
-	}
 	// seen maps key+cls to the built template, or nil for a shape already
 	// diagnosed as non-generatable (so its reason is recorded once).
 	seen := map[string]*pTemplate{}
-	for _, n := range probes {
+	for _, n := range probeLengths {
 		lengths := make(map[string]int)
 		for _, p := range tmpl.ArrayParams() {
 			lengths[p] = n
@@ -513,9 +499,9 @@ func (c *pExprCtx) resolvePort(p ca.PortID) (string, error) {
 	return "", fmt.Errorf("gen: no value defined for port %q in transition", c.pt.aut.U.Name(p))
 }
 
-// constExpr renders a constant as Go source for the parametric package
-// (which has the real prim package on hand, unlike the self-contained
-// fixed-N output and its local token type).
+// constExpr renders a constant as Go source. The DSL only produces nil
+// and token constants (Fifo1Full seeds, spout emissions); plain scalar
+// literals are supported for hand-assembled automata.
 func (c *pExprCtx) constExpr(v any) (string, error) {
 	switch v := v.(type) {
 	case nil:
@@ -634,6 +620,14 @@ func (m *pModel) emit() ([]byte, error) {
 		return nil, fmt.Errorf("gen: emitted source does not parse: %w\n%s", err, sb.String())
 	}
 	return src, nil
+}
+
+func quoteList(names []string) string {
+	var out []string
+	for _, n := range names {
+		out = append(out, fmt.Sprintf("%q", n))
+	}
+	return strings.Join(out, ", ")
 }
 
 func emitPTrans(p func(string, ...any), t *pTrans) {

@@ -17,15 +17,13 @@ import (
 	"repro/internal/genlib/xfab"
 )
 
-// The parametric differential suite: each checked-in parametric package
+// The parametric differential suite: each checked-in generated package
 // (internal/genlib/{fabric,xfab,msfabric}) runs the same deterministic
 // schedule as an interpreted twin built from the identical source with
 // region partitioning, and must agree on every per-port value sequence,
-// on Steps, and on GuardEvals. Unlike the fixed-N differential no
-// subprocess is needed: parametric packages live on the genrun runtime
-// inside this module. The suite deliberately includes an N outside the
-// generator's probe lengths and with no fixed-N expansion checked in
-// anywhere — the whole point of the parametric path.
+// on Steps, and on GuardEvals. The suite deliberately includes an N
+// outside the generator's probe lengths — the whole point of generating
+// per region shape instead of per length.
 
 // parametricSrc returns the checked-in .reo source next to genlib.
 func parametricSrc(t *testing.T, name string) string {
@@ -37,9 +35,8 @@ func parametricSrc(t *testing.T, name string) string {
 	return string(src)
 }
 
-// TestGoldenParametric pins the parametric generator's output
-// byte-for-byte against the checked-in genlib packages, exactly as
-// TestGoldenLane pins the fixed-N lane.
+// TestGoldenParametric pins the generator's output byte-for-byte
+// against the checked-in genlib packages.
 func TestGoldenParametric(t *testing.T) {
 	cases := []struct {
 		reoFile, connector, pkg string
@@ -111,9 +108,8 @@ func compareResults(t *testing.T, want, got *gendrv.Result) {
 
 // TestParametricDifferentialFabric drives the parametric fabric at two
 // array lengths through the shared gendrv schedule. N=5 lies outside the
-// generator's probe lengths {2,3,4} and no fixed-N expansion of the
-// connector exists anywhere in the repository: the templates must still
-// bind, because region shapes are length-invariant.
+// generator's probe lengths {2,3,4}: the templates must still bind,
+// because region shapes are length-invariant.
 func TestParametricDifferentialFabric(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {

@@ -10,14 +10,8 @@
 // with `go generate ./internal/genlib` after changing the generator or
 // a source.
 //
-// internal/genlib/lane (from lane.reo) is the single Fifo1 lane of
-// BenchmarkFireSteady: the root benchmark drives the interpreted and
-// generated backends through the identical workload, and
-// `reoc bench-gen` turns that comparison into perf-gate rows.
-//
-// The parametric packages (from `reoc gen -parametric`) hold one static
-// template per region shape over the internal/gen/genrun runtime, and
-// instantiate at any array length:
+// Every package holds one static template per region shape over the
+// internal/gen/genrun runtime and instantiates at any array length:
 //
 //   - fabric (fabric.reo): n independent Fifo1 lanes, the pure
 //     region-scaling shape (every region solid, no links).
@@ -29,9 +23,8 @@
 //     NPB programs and fig13 -backend generated run on.
 //
 // xfab references registered data functions, which the reoc CLI cannot
-// supply, so the parametric set is regenerated by the in-process regen
-// command rather than per-package CLI lines.
+// supply, so the set is regenerated by the in-process regen command
+// rather than per-package CLI lines.
 package genlib
 
-//go:generate go run repro/cmd/reoc gen lane.reo Lane -o lane -pkg lane -force
 //go:generate go run repro/internal/genlib/regen

@@ -1,9 +1,9 @@
-// Command regen regenerates the checked-in parametric connector
-// packages of internal/genlib (`reoc gen -parametric` output). It exists
-// because the funcful connectors (xfab) reference registered data
-// functions, which the reoc CLI cannot supply: generation must happen
-// in-process with gendrv's shared test functions registered, exactly as
-// the golden test re-derives them. Run from the genlib directory (the
+// Command regen regenerates the checked-in connector packages of
+// internal/genlib (`reoc gen` output). It exists because the funcful
+// connectors (xfab) reference registered data functions, which the reoc
+// CLI cannot supply: generation must happen in-process with gendrv's
+// shared test functions registered, exactly as the golden test
+// re-derives them. Run from the genlib directory (the
 // go:generate line in genlib.go does) after changing the generator or a
 // .reo source, and commit the result.
 package main

@@ -306,11 +306,11 @@ func (c *reoComm) PipeRecvUp(i int) (any, error) { return c.qi[i].Recv() }
 func (c *reoComm) Steps() int64                  { return c.inst.Steps() }
 func (c *reoComm) Close() error                  { return c.inst.Close() }
 
-// --- generated (parametric static code) implementation --------------------
+// --- generated (static per-region code) implementation --------------------
 
 // genComm runs the MasterSlaves scatter/gather structure on the
 // generated backend: internal/genlib/msfabric holds the statically
-// emitted per-region code (`reoc gen -parametric` output over the same
+// emitted per-region code (`reoc gen` output over the same
 // connector text as masterSlavesSrc), and New(n) instantiates it at the
 // requested slave count — no per-N expansion, no interpretation of the
 // hot dispatch.

@@ -41,9 +41,9 @@ const (
 	Orig
 	Reo
 	// Gen runs the Reo coordination structure on the generated backend:
-	// the parametric msfabric package (internal/genlib/msfabric), whose
-	// per-region code was emitted once by `reoc gen -parametric` and is
-	// instantiated at the requested slave count at run time.
+	// the msfabric package (internal/genlib/msfabric), whose per-region
+	// code was emitted once by `reoc gen` and is instantiated at the
+	// requested slave count at run time.
 	Gen
 )
 
