@@ -43,8 +43,14 @@ type centry struct {
 // StateKeys so steady-state lookups never allocate. cap == 0 means
 // unbounded. Not safe for concurrent use; the engine serializes access.
 type jointCache struct {
-	cap       int
-	policy    EvictionPolicy
+	cap    int
+	policy EvictionPolicy
+	// all is the unbounded cache's one map (cap == 0; m stays nil): the
+	// kept expansions, and a nil entry for every state seen once and not
+	// kept (see Engine.expandState). kept counts the non-nil entries.
+	all  map[ca.StateKey]*expanded
+	kept int
+	// m and the rest order a bounded cache's entries for eviction.
 	m         map[ca.StateKey]*centry
 	head      *centry // most recent (LRU) / newest (FIFO)
 	tail      *centry // eviction candidate
@@ -54,39 +60,66 @@ type jointCache struct {
 }
 
 func newJointCache(capacity int, policy EvictionPolicy, rng intner) *jointCache {
-	return &jointCache{cap: capacity, policy: policy, m: make(map[ca.StateKey]*centry), rng: rng}
+	c := &jointCache{cap: capacity, policy: policy, rng: rng}
+	if capacity == 0 {
+		c.all = make(map[ca.StateKey]*expanded)
+	} else {
+		c.m = make(map[ca.StateKey]*centry)
+	}
+	return c
 }
 
-func (c *jointCache) len() int { return len(c.m) }
+// len returns the number of expansions kept.
+func (c *jointCache) len() int {
+	if c.cap == 0 {
+		return c.kept
+	}
+	return len(c.m)
+}
 
-func (c *jointCache) get(key ca.StateKey) (*expanded, bool) {
+// get returns the expansion kept for key, nil if there is none, and
+// whether key was seen before: in an unbounded cache a state seen once
+// has an entry but no expansion.
+func (c *jointCache) get(key ca.StateKey) (ex *expanded, seen bool) {
+	if c.cap == 0 {
+		ex, seen = c.all[key]
+		return ex, seen
+	}
 	e, ok := c.m[key]
 	if !ok {
 		return nil, false
 	}
-	if c.cap > 0 && c.policy == LRU {
+	if c.policy == LRU {
 		c.unlink(e)
 		c.pushFront(e)
 	}
 	return e.ex, true
 }
 
+// markSeen records an unbounded cache's first visit of key.
+func (c *jointCache) markSeen(key ca.StateKey) { c.all[key] = nil }
+
+// put keeps ex as key's expansion; a key already kept keeps its own.
 func (c *jointCache) put(key ca.StateKey, ex *expanded) {
+	if c.cap == 0 {
+		if c.all[key] == nil {
+			c.all[key] = ex
+			c.kept++
+		}
+		return
+	}
 	if _, ok := c.m[key]; ok {
 		return
 	}
 	e := &centry{key: key, ex: ex}
-	if c.cap > 0 && len(c.m) >= c.cap {
+	if len(c.m) >= c.cap {
 		c.evict()
 	}
 	c.m[key] = e
-	switch {
-	case c.cap == 0:
-		// Unbounded: no ordering bookkeeping needed.
-	case c.policy == RandomEvict:
+	if c.policy == RandomEvict {
 		e.idx = len(c.entries)
 		c.entries = append(c.entries, e)
-	default:
+	} else {
 		c.pushFront(e)
 	}
 }

@@ -93,6 +93,16 @@ func TestJointCacheUnboundedNeverEvicts(t *testing.T) {
 	if c.len() != 1000 || c.evictions != 0 {
 		t.Errorf("len = %d evictions = %d, want 1000/0", c.len(), c.evictions)
 	}
+	// A state seen once has an entry but no expansion, and is not counted
+	// until a put keeps it.
+	c.markSeen(ck(1000))
+	if ex, seen := c.get(ck(1000)); ex != nil || !seen || c.len() != 1000 {
+		t.Errorf("seen-once entry: get = %v, %v; len = %d, want nil, true, 1000", ex, seen, c.len())
+	}
+	c.put(ck(1000), &expanded{})
+	if ex, _ := c.get(ck(1000)); ex == nil || c.len() != 1001 {
+		t.Errorf("kept on put: get = %v, len = %d, want an expansion, 1001", ex, c.len())
+	}
 }
 
 // TestReExpansionAfterEviction: with a cache bound of one state, a Fifo1's

@@ -11,8 +11,13 @@
 // the engine keeps the constituent ("medium") automata and a cache of
 // expanded composite states. Ahead-of-time composition (§IV-D) expands the
 // full reachable space at construction; just-in-time composition expands a
-// composite state the first time it is visited. The cache may be bounded,
-// with an eviction policy, implementing the future-work extension of §V-B.
+// composite state the first time it is visited. The default unbounded
+// cache keeps a state only from its second visit on: a first visit is
+// expanded into one table the engine reuses for every first visit, since
+// where the composite space is exponential most states are never entered
+// again. The cache may instead be bounded, with an eviction policy,
+// implementing the future-work extension of §V-B; a bounded cache keeps
+// every state it expands until it evicts it.
 //
 // Expansion assembles a composite state's joint transitions from clusters
 // of local transitions memoised by a ca.Expander, compiles each cluster
@@ -20,8 +25,8 @@
 // scratch) the first time any state offers it, and builds a port index
 // over the expanded state, so the steady-state firing path is
 // allocation-free and proportional to the transitions a newly pended port
-// can actually enable — not to the state's out-degree. Expanded states
-// link to the successors already visited from them, so re-entering a
+// can actually enable — not to the state's out-degree. Kept states link
+// to the kept successors already visited from them, so re-entering a
 // known state costs a pointer load.
 //
 // A region whose code was generated ahead of time (BindGen, gen.go) gets

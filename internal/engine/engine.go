@@ -127,6 +127,10 @@ type Engine struct {
 	// known without a lookup, nil otherwise (always nil when the cache is
 	// bounded: every visit must then be seen by the eviction policy).
 	cur *expanded
+	// once is the table an unbounded cache expands first visits into,
+	// overwritten by the next one: never cached, never linked to or from
+	// (see expandState).
+	once *expanded
 	// bound, when non-nil, is the complete table BindGen lowered a
 	// generated template into, indexed by the region automaton's local
 	// state: expandState answers from it and never expands (see gen.go).
@@ -292,14 +296,16 @@ type expanded struct {
 	// expansion of the state it leads to, so that a state visited before
 	// is re-entered without packing and hashing its key. nil when the
 	// cache is bounded: an evicted expansion must not stay reachable, and
-	// the eviction policy must see every visit.
+	// the eviction policy must see every visit. All entries stay nil in
+	// the first-visit table (Engine.once).
 	succ []*expanded
 	// ports lists (ascending) the gated ports that occur in any plan's
 	// sync set; byPort[portOff[j]:portOff[j+1]] lists (ascending) the
 	// plans whose sync set contains ports[j]: the only transitions a
 	// fresh operation on that port can newly enable. Flat slices keep
 	// per-state memory proportional to the state's transitions, not to
-	// the universe size, at three allocations per state.
+	// the universe size, at three allocations per state. An empty portOff
+	// means the index is not built yet (the first-visit table).
 	ports   []ca.PortID
 	portOff []int32
 	byPort  []int32
@@ -350,28 +356,58 @@ func (e *Engine) planDir(p ca.PortID) ca.Dir {
 
 // expandState returns the expansion of the given composite state, using
 // the cache. Must be called with mu held.
+//
+// An unbounded cache keeps a state only when it comes back. The first
+// visit leaves a nil entry in the cache and expands into e.once, whose
+// port index is built only if fireLoop dispatches through it; the second
+// visit expands again and keeps the result, links and all. Where the
+// composite space is exponential nearly every state is visited once, and
+// keeping those was most of what a run spent its time and memory on. AOT
+// composition keeps every state it expands, a bounded cache every state
+// until it evicts it.
 func (e *Engine) expandState(state []int32) *expanded {
 	if e.bound != nil {
 		return e.bound[state[0]]
 	}
 	k := e.packer.Key(state)
-	if ex, ok := e.cache.get(k); ok {
+	ex, seen := e.cache.get(k)
+	if ex != nil {
 		return ex
 	}
 	if e.expander == nil {
 		e.expander = ca.NewExpander(e.auts, e.opts.Expand)
 		e.initDispatch()
 	}
+	if !seen && e.cache.cap == 0 && e.opts.Composition != AOT {
+		if e.once == nil {
+			e.once = new(expanded)
+		}
+		e.cache.markSeen(k)
+		e.fill(e.once, state)
+		e.once.succ = resize(e.once.succ, len(e.once.plans)) // never written: all nil
+		e.once.portOff = e.once.portOff[:0]                  // not indexed yet
+		return e.once
+	}
+	ex = new(expanded)
+	e.fill(ex, state)
+	if e.cache.cap == 0 {
+		ex.succ = make([]*expanded, len(ex.plans))
+	}
+	e.indexPorts(ex)
+	e.cache.put(k, ex)
+	return ex
+}
+
+// fill expands state into ex: the plans of its clusters in candidate
+// order, their deltas and pure-flow marks. ex's slices are resized in
+// place, so the reused first-visit table stops allocating once it has
+// held the largest state.
+func (e *Engine) fill(ex *expanded, state []int32) {
 	e.stepBuf = e.expander.Expand(state, e.stepBuf[:0])
 	n := len(e.stepBuf)
-	ex := &expanded{
-		plans:  make([]*ca.Plan, n),
-		deltas: make([][]ca.Delta, n),
-		flow:   make([]bool, n),
-	}
-	if e.cache.cap == 0 {
-		ex.succ = make([]*expanded, n)
-	}
+	ex.plans = resize(ex.plans, n)
+	ex.deltas = resize(ex.deltas, n)
+	ex.flow = resize(ex.flow, n)
 	for i, c := range e.stepBuf {
 		if c.Plan == nil {
 			// Compiled once per cluster, not per composite state: a plan
@@ -383,10 +419,15 @@ func (e *Engine) expandState(state []int32) *expanded {
 		ex.deltas[i] = c.Deltas
 		ex.flow[i] = len(c.Deltas) == 0 && c.Plan.Guards() == 0 && c.Plan.CellWrites() == 0
 	}
-	e.indexPorts(ex)
 	e.expansions.Add(1)
-	e.cache.put(k, ex)
-	return ex
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // initDispatch sets up what indexPorts works from. Link endpoints must be
@@ -400,10 +441,12 @@ func (e *Engine) initDispatch() {
 }
 
 // indexPorts builds ex's dispatch indexes in two passes over the gated
-// ports of its plans' sync sets: count per port, then fill.
+// ports of its plans' sync sets: count per port, then fill. Like fill, it
+// resizes ex's slices in place.
 func (e *Engine) indexPorts(ex *expanded) {
 	fill, ports := e.portFill, e.portBuf[:0]
 	total := 0
+	ex.taus = ex.taus[:0]
 	for i, pl := range ex.plans {
 		gated := false
 		for wi, w := range pl.Sync {
@@ -423,13 +466,14 @@ func (e *Engine) indexPorts(ex *expanded) {
 	}
 	slices.Sort(ports)
 	e.portBuf = ports
-	ex.ports = slices.Clone(ports)
-	ex.portOff = make([]int32, len(ports)+1)
+	ex.ports = append(ex.ports[:0], ports...)
+	ex.portOff = resize(ex.portOff, len(ports)+1)
+	ex.portOff[0] = 0
 	for j, p := range ports {
 		ex.portOff[j+1] = ex.portOff[j] + fill[p]
 		fill[p] = ex.portOff[j]
 	}
-	ex.byPort = make([]int32, total)
+	ex.byPort = resize(ex.byPort, total)
 	for i, pl := range ex.plans {
 		for wi, w := range pl.Sync {
 			for w &= e.gates[wi]; w != 0; w &= w - 1 {
@@ -734,7 +778,9 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 			ex = e.expandState(e.state)
 			if linked {
 				e.cur = ex
-				if from != nil {
+				// The first-visit table is overwritten by the next
+				// expansion: nothing links to it or from it.
+				if from != nil && from != e.once && ex != e.once {
 					from.succ[via] = ex
 				}
 			}
@@ -742,6 +788,9 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 		e.enabledBuf = e.enabledBuf[:0]
 		if indexed {
 			indexed = false
+			if len(ex.portOff) == 0 {
+				e.indexPorts(ex) // a first visit, indexed on demand
+			}
 			// Merge the trigger's plan list with the τ list in ascending
 			// plan order, so the RNG sees candidates exactly as a full
 			// scan would.
@@ -1021,9 +1070,12 @@ func (e *Engine) Close() error {
 // its successor links, the expander's cluster memo and compiled plans, the
 // op pool, the candidate and nudge buffers — are retained. A recycled
 // engine therefore replays the same per-seed choice sequence as a
-// fresh one (Expansions may read lower, since the cache is already
-// warm). Fails if the engine is still open. Link queues are the
-// coordinator's to reset (Multi.Reset); a plain engine has none.
+// fresh one. Only Expansions may differ: a state an earlier life kept
+// costs nothing, but one the earlier lives visited only once is expanded
+// again, and kept, since this is its second visit (with an unbounded
+// cache; a bounded one re-expands whatever it evicted). Fails if the
+// engine is still open. Link queues are the coordinator's to reset
+// (Multi.Reset); a plain engine has none.
 func (e *Engine) Reset() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1054,8 +1106,11 @@ func (e *Engine) Reset() error {
 // metric of the paper's connector benchmarks (§V-B).
 func (e *Engine) Steps() int64 { return e.steps.Load() }
 
-// Expansions returns how many composite states have been expanded
-// (cache misses), a measure of composition work done at run time.
+// Expansions returns how many times a composite state has been expanded,
+// a measure of composition work done at run time. Every run of the
+// expander counts: with the default unbounded cache a state visited once
+// costs 1 and a state kept on its second visit 2; a bounded cache
+// re-expands what it evicted.
 func (e *Engine) Expansions() int64 { return e.expansions.Load() }
 
 // GuardEvals returns how many candidate transitions had their guards
@@ -1074,7 +1129,8 @@ func (e *Engine) OpsRegistered() int64 { return e.registered.Load() }
 // under ca.ExpandFull). Reset keeps it, like the plans themselves.
 func (e *Engine) PlansCompiled() int64 { return e.plansCompiled.Load() }
 
-// CachedStates returns the number of composite states currently retained.
+// CachedStates returns the number of composite states currently retained
+// (with an unbounded cache: the states visited at least twice).
 func (e *Engine) CachedStates() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -16,6 +16,11 @@ type Coordinator interface {
 	RecvBatch(p ca.PortID, buf []any) (int, error)
 	Close() error
 	Steps() int64
+	// Expansions reports how many times a composite state has been
+	// expanded at run time. Every run of the expander counts: with the
+	// default unbounded cache a state visited once costs 1 and a state
+	// kept on its second visit 2; a bounded cache re-expands what it
+	// evicted.
 	Expansions() int64
 	// PlansCompiled reports how many transition plans have been compiled
 	// since construction; unlike the other counters it is not zeroed by

@@ -497,7 +497,9 @@ func WithRuntime(rt *Runtime) ConnectOption {
 // the instance (and its ports) may already belong to another Connect
 // caller. Counters read as freshly zeroed on the recycled instance and
 // the choice stream replays from the seed; only Expansions can differ
-// from a truly fresh instance (the composite-state cache stays warm).
+// from a truly fresh instance (the composite-state cache stays warm, and
+// a state the earlier runs visited only once is expanded again and kept
+// on its next visit).
 // Incompatible with WithWorkers (see WithRuntime).
 func WithReuse(on bool) ConnectOption {
 	return func(c *connectCfg) { c.reuse = on }
@@ -853,8 +855,11 @@ func (i *Instance) Close() error {
 // of the paper's connector benchmarks.
 func (i *Instance) Steps() int64 { return i.coord.Steps() }
 
-// Expansions returns the number of composite states expanded at run time
-// (composition work deferred to run time).
+// Expansions returns how many times a composite state has been expanded
+// at run time (composition work deferred to run time). Every expansion
+// counts: with the default unbounded cache a state visited once costs 1
+// and a state kept on its second visit 2; with WithStateCache a state is
+// expanded again after each eviction.
 func (i *Instance) Expansions() int64 { return i.coord.Expansions() }
 
 // PlansCompiled returns how many transition plans the instance has

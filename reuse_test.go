@@ -182,12 +182,15 @@ func TestManyInstancesFireAllocs(t *testing.T) {
 		}
 		defer inst.Close()
 		lanes[i] = lane{out: inst.Outport("a"), in: inst.Inport("b")}
-		// Warm the instance's composite states and op pool.
-		if err := lanes[i].out.Send(0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lanes[i].in.Recv(); err != nil {
-			t.Fatal(err)
+		// Warm the instance's composite states and op pool: a state is
+		// kept on its second visit, so it takes two rounds.
+		for j := 0; j < 2; j++ {
+			if err := lanes[i].out.Send(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lanes[i].in.Recv(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	next := 0
@@ -369,7 +372,12 @@ func TestReuseChurnOnBusyRuntime(t *testing.T) {
 		steps, guardEvals int64
 	}
 	const items = 64
-	var expansions int64 // of the last run; 0 on a recycled instance, whose cache is warm
+	// Of the last run: its expansions, and the instance's compiled plans
+	// (never reset, so a recycled run must not add to them). A state is
+	// kept on its second visit, so the first recycled run may still expand
+	// what the fresh run visited only once; from the second on, every
+	// state was visited at least twice before and nothing expands.
+	var expansions, plans int64
 	run := func() result {
 		t.Helper()
 		inst, err := conn.Connect(nil, append(onRT, reo.WithReuse(true))...)
@@ -399,19 +407,30 @@ func TestReuseChurnOnBusyRuntime(t *testing.T) {
 		if err := <-sent; err != nil {
 			t.Fatal(err)
 		}
+		// A worker counts a step after signaling the operations it
+		// completed, still holding its region's lock. SetTracer takes every
+		// region's lock once, so no step is left uncounted when Steps is read.
+		inst.SetTracer(nil)
 		r.steps, r.guardEvals = inst.Steps(), inst.GuardEvals()
-		expansions = inst.Expansions()
+		expansions, plans = inst.Expansions(), inst.PlansCompiled()
 		return r
 	}
 	fresh := run()
 	if want := int64(items * 5); fresh.steps != want {
 		t.Fatalf("fresh run took %d steps, want %d", fresh.steps, want)
 	}
+	if plans == 0 {
+		t.Fatal("fresh run compiled no plans")
+	}
 	for round := 0; round < 50; round++ {
+		before := plans
 		if recycled := run(); !reflect.DeepEqual(fresh, recycled) {
 			t.Fatalf("round %d: recycled run differs from the fresh one\nfresh:    %+v\nrecycled: %+v", round, fresh, recycled)
 		}
-		if expansions != 0 {
+		if plans != before {
+			t.Fatalf("round %d: %d plans compiled, want 0: the instance was not recycled", round, plans-before)
+		}
+		if round >= 1 && expansions != 0 {
 			t.Fatalf("round %d: %d expansions, want 0: the instance was not recycled", round, expansions)
 		}
 	}
