@@ -179,7 +179,7 @@ func TestConnectOptionValidation(t *testing.T) {
 		{"reuse plus workers", "WithReuse",
 			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(2), reo.WithReuse(true)}},
 		{"negative state cache", "WithStateCache",
-			[]reo.ConnectOption{reo.WithStateCache(-1, reo.LRU)}},
+			[]reo.ConnectOption{reo.WithStateCache(-1)}},
 		{"negative max states", "WithMaxStates",
 			[]reo.ConnectOption{reo.WithMaxStates(-4)}},
 		{"remote without regions", "WithRemoteRegions",
@@ -215,7 +215,7 @@ func TestConnectOptionValidation(t *testing.T) {
 	for _, opts := range [][]reo.ConnectOption{
 		{reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(2)},
 		{reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(nil), reo.WithReuse(true)},
-		{reo.WithStateCache(0, reo.LRU)},
+		{reo.WithStateCache(0)},
 	} {
 		inst, err := conn.Connect(nil, opts...)
 		if err != nil {

@@ -5,7 +5,7 @@
 //	BenchmarkFig13*            — E2/E3: NPB CG and LU, orig vs reo
 //	BenchmarkNPBAll            — E4: all seven programs, class S
 //	BenchmarkExpansionBlowup   — E5: full expansion vs partitioning
-//	BenchmarkStateCache        — E6: bounded state caches and policies
+//	BenchmarkStateCache        — E6: bounded state caches
 //	BenchmarkLabelSimplify     — E7: transition-label simplification
 //
 // The drivers report steps/s (global execution steps per second), the
@@ -14,6 +14,7 @@ package reo_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,28 +177,40 @@ func BenchmarkExpansionBlowup(b *testing.B) {
 }
 
 // BenchmarkStateCache is E6: a connector whose composite state space is
-// much larger than the working set, under bounded caches and the three
-// eviction policies.
+// much larger than the working set, under the default cache and two cache
+// bounds. Besides steps/s it reports the live heap in MB, read after a GC
+// at the end of each window while the instance is still open.
 func BenchmarkStateCache(b *testing.B) {
 	d, err := connlib.ByName("EarlyAsyncMerger")
 	if err != nil {
 		b.Fatal(err)
 	}
 	const n = 10
-	cfgs := []struct {
-		name string
-		opts []reo.ConnectOption
-	}{
-		{"unbounded", nil},
-		{"cache=64/lru", []reo.ConnectOption{reo.WithStateCache(64, reo.LRU)}},
-		{"cache=64/fifo", []reo.ConnectOption{reo.WithStateCache(64, reo.FIFO)}},
-		{"cache=64/random", []reo.ConnectOption{reo.WithStateCache(64, reo.Random)}},
-		{"cache=8/lru", []reo.ConnectOption{reo.WithStateCache(8, reo.LRU)}},
-	}
-	for _, cfg := range cfgs {
-		b.Run(cfg.name, func(b *testing.B) {
-			ap := bench.Approach{Name: cfg.name, Opts: append([]reo.ConnectOption{reo.WithMode(reo.JIT)}, cfg.opts...)}
-			stepRate(b, d, n, ap)
+	for _, size := range []int{0, 64, 8} {
+		name := "unbounded"
+		if size > 0 {
+			name = fmt.Sprintf("cap=%d", size)
+		}
+		b.Run(name, func(b *testing.B) {
+			var steps int64
+			var heap uint64
+			for i := 0; i < b.N; i++ {
+				inst, err := d.Connect(n, reo.WithMode(reo.JIT), reo.WithStateCache(size))
+				if err != nil {
+					b.Fatal(err)
+				}
+				wait := connlib.Drive(d, inst, n)
+				time.Sleep(window)
+				steps += inst.Steps()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				heap += ms.HeapInuse
+				inst.Close()
+				wait()
+			}
+			b.ReportMetric(float64(steps)/(float64(b.N)*window.Seconds()), "steps/s")
+			b.ReportMetric(float64(heap)/float64(b.N)/(1<<20), "heap-MB")
 		})
 	}
 }

@@ -68,8 +68,8 @@ type StateKey [4]uint64
 // IDs must stay stable for keys already handed out — so in the fallback
 // regime memory grows with the distinct states visited even when the
 // caller bounds its own cache; a deliberate tradeoff, far smaller per
-// state than the expansions such a cache evicts. The Expander's cluster
-// memo is kept on the same terms: it is never evicted either, and it is
+// state than the expansions such a cache declines to keep. The Expander's
+// cluster memo is kept on the same terms: it is never evicted, and it is
 // polynomial in the number of constituents where the set of composite
 // states is exponential.
 type StatePacker struct {

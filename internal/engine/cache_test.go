@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/ca"
@@ -10,146 +9,106 @@ import (
 
 func ck(n uint64) ca.StateKey { return ca.StateKey{n} }
 
-func keys(c *jointCache) map[uint64]bool {
-	out := make(map[uint64]bool, len(c.m))
-	for k := range c.m {
-		out[k[0]] = true
-	}
-	return out
-}
-
-func TestJointCacheLRUEvictionOrder(t *testing.T) {
-	c := newJointCache(2, LRU, rand.New(rand.NewSource(1)))
-	c.put(ck(1), &expanded{})
-	c.put(ck(2), &expanded{})
-	// Touch 1 so 2 becomes least recently used.
-	if _, ok := c.get(ck(1)); !ok {
-		t.Fatal("entry 1 missing")
-	}
-	c.put(ck(3), &expanded{})
-	got := keys(c)
-	if !got[1] || !got[3] || got[2] {
-		t.Errorf("LRU kept %v, want {1,3}", got)
-	}
-	if c.evictions != 1 {
-		t.Errorf("evictions = %d, want 1", c.evictions)
-	}
-	// Another insert must now evict 1 (3 was used more recently? no:
-	// insertion counts as use; 1 was used before 3 was inserted).
-	c.put(ck(4), &expanded{})
-	got = keys(c)
-	if !got[3] || !got[4] || got[1] {
-		t.Errorf("LRU kept %v, want {3,4}", got)
-	}
-}
-
-func TestJointCacheFIFOIgnoresUse(t *testing.T) {
-	c := newJointCache(2, FIFO, rand.New(rand.NewSource(1)))
-	c.put(ck(1), &expanded{})
-	c.put(ck(2), &expanded{})
-	// Touch 1; FIFO must still evict it first (oldest insertion).
-	c.get(ck(1))
-	c.get(ck(1))
-	c.put(ck(3), &expanded{})
-	got := keys(c)
-	if !got[2] || !got[3] || got[1] {
-		t.Errorf("FIFO kept %v, want {2,3}", got)
-	}
-	if c.evictions != 1 {
-		t.Errorf("evictions = %d, want 1", c.evictions)
-	}
-}
-
-func TestJointCacheRandomEvictBounded(t *testing.T) {
-	c := newJointCache(4, RandomEvict, rand.New(rand.NewSource(7)))
-	for i := uint64(0); i < 100; i++ {
-		c.put(ck(i), &expanded{})
-	}
-	if c.len() != 4 {
-		t.Errorf("len = %d, want 4", c.len())
-	}
-	if c.evictions != 96 {
-		t.Errorf("evictions = %d, want 96", c.evictions)
-	}
-	// The swap-delete bookkeeping must keep entries and map consistent.
-	if len(c.entries) != 4 {
-		t.Fatalf("entries = %d, want 4", len(c.entries))
-	}
-	for i, e := range c.entries {
-		if e.idx != i {
-			t.Errorf("entries[%d].idx = %d", i, e.idx)
-		}
-		if c.m[e.key] != e {
-			t.Errorf("entries[%d] not in map", i)
+// admit runs the engine's admission rule for one visit of key: a first
+// visit is marked, a later one keeps ex unless the cache is full.
+func admit(c *jointCache, key ca.StateKey, ex *expanded) {
+	if got, seen := c.get(key); got == nil {
+		if !seen || c.full() {
+			c.markSeen(key)
+		} else {
+			c.put(key, ex)
 		}
 	}
 }
 
 func TestJointCacheUnboundedNeverEvicts(t *testing.T) {
-	c := newJointCache(0, LRU, rand.New(rand.NewSource(1)))
+	c := newJointCache(0)
 	for i := uint64(0); i < 1000; i++ {
 		c.put(ck(i), &expanded{})
 	}
-	if c.len() != 1000 || c.evictions != 0 {
-		t.Errorf("len = %d evictions = %d, want 1000/0", c.len(), c.evictions)
+	if c.kept != 1000 || c.full() {
+		t.Errorf("kept = %d, full = %v; want 1000, false", c.kept, c.full())
 	}
 	// A state seen once has an entry but no expansion, and is not counted
 	// until a put keeps it.
 	c.markSeen(ck(1000))
-	if ex, seen := c.get(ck(1000)); ex != nil || !seen || c.len() != 1000 {
-		t.Errorf("seen-once entry: get = %v, %v; len = %d, want nil, true, 1000", ex, seen, c.len())
+	if ex, seen := c.get(ck(1000)); ex != nil || !seen || c.kept != 1000 {
+		t.Errorf("seen-once entry: get = %v, %v; kept = %d, want nil, true, 1000", ex, seen, c.kept)
 	}
 	c.put(ck(1000), &expanded{})
-	if ex, _ := c.get(ck(1000)); ex == nil || c.len() != 1001 {
-		t.Errorf("kept on put: get = %v, len = %d, want an expansion, 1001", ex, c.len())
+	if ex, _ := c.get(ck(1000)); ex == nil || c.kept != 1001 {
+		t.Errorf("kept on put: get = %v, kept = %d, want an expansion, 1001", ex, c.kept)
 	}
 }
 
-// TestReExpansionAfterEviction: with a cache bound of one state, a Fifo1's
-// two composite states evict each other on every step, so every revisit
-// must re-expand — and the connector must still move data correctly.
-func TestReExpansionAfterEviction(t *testing.T) {
-	for _, pol := range []EvictionPolicy{LRU, FIFO, RandomEvict} {
-		t.Run(pol.String(), func(t *testing.T) {
-			u := ca.NewUniverse()
-			a, b := u.Port("a"), u.Port("b")
-			u.SetDir(a, ca.DirSource)
-			u.SetDir(b, ca.DirSink)
-			e, err := New(u, []*ca.Automaton{prim.Fifo1(u, a, b)}, Options{CacheSize: 1, Policy: pol, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
+// TestJointCacheBoundedStopsAdmitting: a bounded cache keeps states on
+// their second visit until it holds its bound, then keeps what it has —
+// nothing is evicted — and stops recording first visits.
+func TestJointCacheBoundedStopsAdmitting(t *testing.T) {
+	c := newJointCache(4)
+	kept := make(map[uint64]*expanded)
+	for i := uint64(0); i < 100; i++ {
+		for visit := 0; visit < 2; visit++ {
+			ex := &expanded{}
+			admit(c, ck(i), ex)
+			if got, _ := c.get(ck(i)); got == ex {
+				kept[i] = ex
 			}
-			defer e.Close()
-			const rounds = 10
-			for i := 0; i < rounds; i++ {
-				if err := e.Send(a, i); err != nil {
-					t.Fatal(err)
-				}
-				v, err := e.Recv(b)
-				if err != nil || v != i {
-					t.Fatalf("recv = %v, %v; want %d", v, err, i)
-				}
-			}
-			if e.Steps() != 2*rounds {
-				t.Errorf("steps = %d, want %d", e.Steps(), 2*rounds)
-			}
-			// Every step enters the state it just evicted: expansions must
-			// track steps, not the two-state space.
-			if e.Expansions() < 2*rounds {
-				t.Errorf("expansions = %d, want >= %d (cache bound forces re-expansion)", e.Expansions(), 2*rounds)
-			}
-			if e.Evictions() < 2*rounds-1 {
-				t.Errorf("evictions = %d, want >= %d", e.Evictions(), 2*rounds-1)
-			}
-			if e.CachedStates() != 1 {
-				t.Errorf("cached states = %d, want 1", e.CachedStates())
-			}
-		})
+		}
+	}
+	if c.kept != 4 || len(kept) != 4 || !c.full() {
+		t.Fatalf("kept = %d (%d admitted), full = %v; want 4, 4, true", c.kept, len(kept), c.full())
+	}
+	for i, ex := range kept {
+		if i >= 4 {
+			t.Errorf("state %d admitted after the cache was full", i)
+		}
+		if got, _ := c.get(ck(i)); got != ex {
+			t.Errorf("state %d: kept expansion replaced", i)
+		}
+	}
+	if len(c.m) != 4 {
+		t.Errorf("map holds %d entries, want the 4 kept: a full cache records no first visits", len(c.m))
+	}
+}
+
+// TestReExpansionWhenFull: with a cache bound of one state, a Fifo1 keeps
+// the first state it enters twice — its initial, empty state — and must
+// re-expand the other on every visit, still moving data correctly.
+func TestReExpansionWhenFull(t *testing.T) {
+	u := ca.NewUniverse()
+	a, b := u.Port("a"), u.Port("b")
+	u.SetDir(a, ca.DirSource)
+	u.SetDir(b, ca.DirSink)
+	e, err := New(u, []*ca.Automaton{prim.Fifo1(u, a, b)}, Options{CacheSize: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		if err := e.Send(a, i); err != nil {
+			t.Fatal(err)
+		}
+		v, err := e.Recv(b)
+		if err != nil || v != i {
+			t.Fatalf("recv = %v, %v; want %d", v, err, i)
+		}
+	}
+	if e.Steps() != 2*rounds {
+		t.Errorf("steps = %d, want %d", e.Steps(), 2*rounds)
+	}
+	// The empty state costs two expansions, the full one one per visit.
+	if e.Expansions() != rounds+2 {
+		t.Errorf("expansions = %d, want %d", e.Expansions(), rounds+2)
+	}
+	if e.CachedStates() != 1 || len(e.cache.m) != 2 {
+		t.Errorf("cached states = %d of %d entries, want 1 of 2", e.CachedStates(), len(e.cache.m))
 	}
 }
 
 func TestJointCachePutExistingIsNoop(t *testing.T) {
-	c := newJointCache(2, LRU, rand.New(rand.NewSource(1)))
+	c := newJointCache(2)
 	ex := &expanded{}
 	c.put(ck(1), ex)
 	c.put(ck(1), &expanded{})
@@ -157,7 +116,7 @@ func TestJointCachePutExistingIsNoop(t *testing.T) {
 	if !ok || got != ex {
 		t.Error("re-put replaced the original expansion")
 	}
-	if c.len() != 1 {
-		t.Errorf("len = %d, want 1", c.len())
+	if c.kept != 1 {
+		t.Errorf("kept = %d, want 1", c.kept)
 	}
 }

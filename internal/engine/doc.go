@@ -11,13 +11,13 @@
 // the engine keeps the constituent ("medium") automata and a cache of
 // expanded composite states. Ahead-of-time composition (§IV-D) expands the
 // full reachable space at construction; just-in-time composition expands a
-// composite state the first time it is visited. The default unbounded
-// cache keeps a state only from its second visit on: a first visit is
-// expanded into one table the engine reuses for every first visit, since
-// where the composite space is exponential most states are never entered
-// again. The cache may instead be bounded, with an eviction policy,
-// implementing the future-work extension of §V-B; a bounded cache keeps
-// every state it expands until it evicts it.
+// composite state the first time it is visited. The cache keeps a state
+// only from its second visit on: a first visit is expanded into one table
+// the engine reuses for every first visit, since where the composite space
+// is exponential most states are never entered again. The cache may be
+// bounded (the future-work extension of §V-B): once it holds its bound it
+// admits no more states and evicts none, and every other state is served
+// from the reused table.
 //
 // Expansion assembles a composite state's joint transitions from clusters
 // of local transitions memoised by a ca.Expander, compiles each cluster

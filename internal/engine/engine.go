@@ -39,10 +39,11 @@ const (
 type Options struct {
 	Composition Composition
 	Expand      ca.ExpandMode
-	// CacheSize bounds the number of expanded composite states retained
-	// (0 = unbounded). Ignored for AOT.
+	// CacheSize bounds the number of composite states kept on their second
+	// visit (0 = unbounded). Once that many are kept no state is admitted
+	// and none is evicted: every other state expands into the reused
+	// first-visit table on every visit. Ignored for AOT.
 	CacheSize int
-	Policy    EvictionPolicy
 	// Seed makes nondeterministic transition selection reproducible.
 	Seed int64
 	// MaxStates bounds AOT expansion (0 = 1<<20).
@@ -124,12 +125,11 @@ type Engine struct {
 	// the first expansion, not by New.
 	expander *ca.Expander
 	// cur is the expansion of the current composite state when it is
-	// known without a lookup, nil otherwise (always nil when the cache is
-	// bounded: every visit must then be seen by the eviction policy).
+	// known without a lookup, nil otherwise.
 	cur *expanded
-	// once is the table an unbounded cache expands first visits into,
-	// overwritten by the next one: never cached, never linked to or from
-	// (see expandState).
+	// once is the table first visits, and every visit the cache cannot
+	// admit, expand into, overwritten by the next one: never cached, and
+	// no successor link leads to or from it (see expandState).
 	once *expanded
 	// bound, when non-nil, is the complete table BindGen lowered a
 	// generated template into, indexed by the region automaton's local
@@ -269,7 +269,7 @@ func newEngine(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Engine, err
 	if opts.Composition == AOT {
 		cacheSize = 0 // AOT requires the full space retained
 	}
-	e.cache = newJointCache(cacheSize, opts.Policy, &e.rng)
+	e.cache = newJointCache(cacheSize)
 	return e, nil
 }
 
@@ -294,10 +294,10 @@ type expanded struct {
 	deltas [][]ca.Delta
 	// succ[i], once plan i has been fired from this state, is the
 	// expansion of the state it leads to, so that a state visited before
-	// is re-entered without packing and hashing its key. nil when the
-	// cache is bounded: an evicted expansion must not stay reachable, and
-	// the eviction policy must see every visit. All entries stay nil in
-	// the first-visit table (Engine.once).
+	// is re-entered without packing and hashing its key. Only kept states
+	// link, and only to kept states: the cache never evicts, so a link
+	// stays valid for the engine's life. All entries stay nil in the
+	// first-visit table (Engine.once).
 	succ []*expanded
 	// ports lists (ascending) the gated ports that occur in any plan's
 	// sync set; byPort[portOff[j]:portOff[j+1]] lists (ascending) the
@@ -357,14 +357,14 @@ func (e *Engine) planDir(p ca.PortID) ca.Dir {
 // expandState returns the expansion of the given composite state, using
 // the cache. Must be called with mu held.
 //
-// An unbounded cache keeps a state only when it comes back. The first
-// visit leaves a nil entry in the cache and expands into e.once, whose
-// port index is built only if fireLoop dispatches through it; the second
-// visit expands again and keeps the result, links and all. Where the
-// composite space is exponential nearly every state is visited once, and
-// keeping those was most of what a run spent its time and memory on. AOT
-// composition keeps every state it expands, a bounded cache every state
-// until it evicts it.
+// The cache keeps a state only when it comes back. The first visit
+// leaves a nil entry in the cache and expands into e.once, whose port
+// index is built only if fireLoop dispatches through it; the second visit
+// expands again and keeps the result, links and all. Where the composite
+// space is exponential nearly every state is visited once, and keeping
+// those was most of what a run spent its time and memory on. A full
+// bounded cache serves every state it does not hold from e.once. AOT
+// composition keeps every state it expands.
 func (e *Engine) expandState(state []int32) *expanded {
 	if e.bound != nil {
 		return e.bound[state[0]]
@@ -378,7 +378,7 @@ func (e *Engine) expandState(state []int32) *expanded {
 		e.expander = ca.NewExpander(e.auts, e.opts.Expand)
 		e.initDispatch()
 	}
-	if !seen && e.cache.cap == 0 && e.opts.Composition != AOT {
+	if (!seen || e.cache.full()) && e.opts.Composition != AOT {
 		if e.once == nil {
 			e.once = new(expanded)
 		}
@@ -390,9 +390,7 @@ func (e *Engine) expandState(state []int32) *expanded {
 	}
 	ex = new(expanded)
 	e.fill(ex, state)
-	if e.cache.cap == 0 {
-		ex.succ = make([]*expanded, len(ex.plans))
-	}
+	ex.succ = make([]*expanded, len(ex.plans))
 	e.indexPorts(ex)
 	e.cache.put(k, ex)
 	return ex
@@ -764,25 +762,19 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 		e.refreshLinks()
 	}
 	tau := 0
-	// Successor links are kept only while the cache is unbounded: a
-	// bounded cache must see every visit to rank its entries, and an
-	// evicted expansion must not stay reachable. from/via name the plan
-	// fired last, whose link is filled in when its target had to be
-	// looked up.
-	linked := e.cache.cap == 0
+	// from/via name the plan fired last, whose successor link is filled in
+	// when its target had to be looked up.
 	var from *expanded
 	var via int32
 	for {
 		ex := e.cur
 		if ex == nil {
 			ex = e.expandState(e.state)
-			if linked {
-				e.cur = ex
-				// The first-visit table is overwritten by the next
-				// expansion: nothing links to it or from it.
-				if from != nil && from != e.once && ex != e.once {
-					from.succ[via] = ex
-				}
+			e.cur = ex
+			// The first-visit table is overwritten by the next expansion:
+			// nothing links to it or from it.
+			if from != nil && from != e.once && ex != e.once {
+				from.succ[via] = ex
 			}
 		}
 		e.enabledBuf = e.enabledBuf[:0]
@@ -865,10 +857,8 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 		for _, d := range ex.deltas[ti] {
 			e.state[d.Aut] = d.Target
 		}
-		if linked {
-			from, via = ex, ti
-			e.cur = ex.succ[ti]
-		}
+		from, via = ex, ti
+		e.cur = ex.succ[ti]
 		// Release the data values the enabled candidates computed during
 		// guard evaluation (and the fired plan's outputs): cached plans
 		// must not pin user payloads between fires.
@@ -1072,10 +1062,9 @@ func (e *Engine) Close() error {
 // engine therefore replays the same per-seed choice sequence as a
 // fresh one. Only Expansions may differ: a state an earlier life kept
 // costs nothing, but one the earlier lives visited only once is expanded
-// again, and kept, since this is its second visit (with an unbounded
-// cache; a bounded one re-expands whatever it evicted). Fails if the
-// engine is still open. Link queues are the coordinator's to reset
-// (Multi.Reset); a plain engine has none.
+// again, and kept if the cache still admits states, since this is its
+// second visit. Fails if the engine is still open. Link queues are the
+// coordinator's to reset (Multi.Reset); a plain engine has none.
 func (e *Engine) Reset() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1108,9 +1097,9 @@ func (e *Engine) Steps() int64 { return e.steps.Load() }
 
 // Expansions returns how many times a composite state has been expanded,
 // a measure of composition work done at run time. Every run of the
-// expander counts: with the default unbounded cache a state visited once
-// costs 1 and a state kept on its second visit 2; a bounded cache
-// re-expands what it evicted.
+// expander counts: a state visited once costs 1 and a state kept on its
+// second visit 2; a state a full bounded cache could not admit costs 1 on
+// every visit.
 func (e *Engine) Expansions() int64 { return e.expansions.Load() }
 
 // GuardEvals returns how many candidate transitions had their guards
@@ -1129,19 +1118,13 @@ func (e *Engine) OpsRegistered() int64 { return e.registered.Load() }
 // under ca.ExpandFull). Reset keeps it, like the plans themselves.
 func (e *Engine) PlansCompiled() int64 { return e.plansCompiled.Load() }
 
-// CachedStates returns the number of composite states currently retained
-// (with an unbounded cache: the states visited at least twice).
+// CachedStates returns the number of composite states kept: the states
+// visited at least twice, up to the cache bound (with AOT composition:
+// every reachable state).
 func (e *Engine) CachedStates() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cache.len()
-}
-
-// Evictions returns how many cache entries have been evicted.
-func (e *Engine) Evictions() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cache.evictions
+	return e.cache.kept
 }
 
 // Universe returns the instance universe (for diagnostics).

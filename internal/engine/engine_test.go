@@ -468,9 +468,10 @@ func TestEngineWrongDirection(t *testing.T) {
 
 func TestEngineBoundedCacheCorrect(t *testing.T) {
 	// A chain of independent fifos visits many composite states; a tiny
-	// cache must still behave correctly (recompute evicted states).
-	for _, pol := range []engine.EvictionPolicy{engine.LRU, engine.FIFO, engine.RandomEvict} {
-		t.Run(pol.String(), func(t *testing.T) {
+	// cache must still behave correctly (re-expand the states it could not
+	// keep).
+	for _, size := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cap=%d", size), func(t *testing.T) {
 			u := ca.NewUniverse()
 			const n = 4
 			var auts []*ca.Automaton
@@ -484,7 +485,7 @@ func TestEngineBoundedCacheCorrect(t *testing.T) {
 				bs = append(bs, b)
 				auts = append(auts, prim.Fifo1(u, a, b))
 			}
-			e := newEngine(t, u, auts, engine.Options{CacheSize: 2, Policy: pol, Seed: 7})
+			e := newEngine(t, u, auts, engine.Options{CacheSize: size, Seed: 7})
 
 			within(t, 10*time.Second, "bounded cache run", func() {
 				var wg sync.WaitGroup
@@ -510,11 +511,10 @@ func TestEngineBoundedCacheCorrect(t *testing.T) {
 				}
 				wg.Wait()
 			})
-			if e.CachedStates() > 2 {
-				t.Errorf("cache grew to %d entries despite bound 2", e.CachedStates())
-			}
-			if e.Evictions() == 0 {
-				t.Error("expected evictions with cache bound 2")
+			// Every step changes the state, so 160 steps over 16 states
+			// enter at least two of them twice: the bound is reached.
+			if e.CachedStates() != size {
+				t.Errorf("cache holds %d states, want its bound %d", e.CachedStates(), size)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -17,53 +18,62 @@ var (
 
 // TestOnceTableNeverLinked: after a run that enters thousands of composite
 // states only once, nothing links to or from the reused first-visit table,
-// and every successor link leads to a kept state.
+// and every successor link leads to a kept state — with the default cache
+// and with a bounded one, which a bound engine keeps linking since it
+// never evicts what it links to.
 func TestOnceTableNeverLinked(t *testing.T) {
-	asm := assembleSrc(t, discriminatorSrc, "Discriminator18", "in", 32)
-	e, err := New(asm.U, asm.Auts, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveFixed(t, e, 17, 4000)
-	kept := make(map[*expanded]bool)
-	for _, ex := range e.cache.all {
-		if ex != nil {
-			kept[ex] = true
-		}
-	}
-	once := len(e.cache.all) - len(kept)
-	if e.once == nil || len(kept) == 0 || once == 0 {
-		t.Fatalf("%d states kept, %d seen once: the run must produce both", len(kept), once)
-	}
-	if e.CachedStates() != len(kept) {
-		t.Errorf("CachedStates() = %d, want the %d kept", e.CachedStates(), len(kept))
-	}
-	if kept[e.once] {
-		t.Fatal("the first-visit table is in the cache")
-	}
-	links := 0
-	for ex := range kept {
-		for i, s := range ex.succ {
-			switch {
-			case s == nil:
-			case s == e.once:
-				t.Fatalf("a kept state's successor %d is the first-visit table", i)
-			case !kept[s]:
-				t.Fatalf("a kept state's successor %d is not in the cache", i)
-			default:
-				links++
+	for _, size := range []int{0, 64} {
+		t.Run(fmt.Sprintf("cap=%d", size), func(t *testing.T) {
+			asm := assembleSrc(t, discriminatorSrc, "Discriminator18", "in", 32)
+			e, err := New(asm.U, asm.Auts, Options{CacheSize: size, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			driveFixed(t, e, 17, 4000)
+			kept := make(map[*expanded]bool)
+			for _, ex := range e.cache.m {
+				if ex != nil {
+					kept[ex] = true
+				}
+			}
+			once := len(e.cache.m) - len(kept)
+			if e.once == nil || len(kept) == 0 || once == 0 {
+				t.Fatalf("%d states kept, %d seen once: the run must produce both", len(kept), once)
+			}
+			if e.CachedStates() != len(kept) {
+				t.Errorf("CachedStates() = %d, want the %d kept", e.CachedStates(), len(kept))
+			}
+			if size > 0 && len(kept) != size {
+				t.Errorf("%d states kept, want the bound %d", len(kept), size)
+			}
+			if kept[e.once] {
+				t.Fatal("the first-visit table is in the cache")
+			}
+			links := 0
+			for ex := range kept {
+				for i, s := range ex.succ {
+					switch {
+					case s == nil:
+					case s == e.once:
+						t.Fatalf("a kept state's successor %d is the first-visit table", i)
+					case !kept[s]:
+						t.Fatalf("a kept state's successor %d is not in the cache", i)
+					default:
+						links++
+					}
+				}
+			}
+			if links == 0 {
+				t.Error("no successor links: kept states were never re-entered through one")
+			}
+			for i, s := range e.once.succ {
+				if s != nil {
+					t.Fatalf("the first-visit table links successor %d", i)
+				}
+			}
+			t.Logf("%d states seen once, %d kept, %d links", once, len(kept), links)
+		})
 	}
-	if links == 0 {
-		t.Error("no successor links: kept states were never re-entered through one")
-	}
-	for i, s := range e.once.succ {
-		if s != nil {
-			t.Fatalf("the first-visit table links successor %d", i)
-		}
-	}
-	t.Logf("%d states seen once, %d kept, %d links", once, len(kept), links)
 }
 
 // TestOnceFirstVisitsDoNotAllocate: a 64-sender Discriminator fed in a

@@ -17,10 +17,9 @@ type Coordinator interface {
 	Close() error
 	Steps() int64
 	// Expansions reports how many times a composite state has been
-	// expanded at run time. Every run of the expander counts: with the
-	// default unbounded cache a state visited once costs 1 and a state
-	// kept on its second visit 2; a bounded cache re-expands what it
-	// evicted.
+	// expanded at run time. Every run of the expander counts: a state
+	// visited once costs 1 and a state kept on its second visit 2; a state
+	// a full bounded cache could not admit costs 1 on every visit.
 	Expansions() int64
 	// PlansCompiled reports how many transition plans have been compiled
 	// since construction; unlike the other counters it is not zeroed by

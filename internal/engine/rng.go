@@ -26,7 +26,7 @@ func (r *pickRNG) reseed(seed int64) {
 }
 
 // Intn returns a uniform pick in [0, n). n must be > 0 and small (the
-// engine picks among enabled transitions or cache entries); the modulo
+// engine picks among enabled transitions); the modulo
 // bias over the 32-bit output scramble is negligible at those sizes.
 func (r *pickRNG) Intn(n int) int {
 	r.s ^= r.s << 13

@@ -309,7 +309,6 @@ type connectCfg struct {
 	workers     int
 	expand      ca.ExpandMode
 	cacheSize   int
-	policy      engine.EvictionPolicy
 	seed        int64
 	maxStates   int
 	simplify    bool
@@ -585,24 +584,15 @@ func WithFullExpansion(on bool) ConnectOption {
 	}
 }
 
-// WithStateCache bounds the JIT composite-state cache and sets the
-// eviction policy (the §V-B future-work extension). size 0 = unbounded.
-func WithStateCache(size int, policy CachePolicy) ConnectOption {
-	return func(c *connectCfg) {
-		c.cacheSize = size
-		c.policy = engine.EvictionPolicy(policy)
-	}
+// WithStateCache bounds the JIT composite-state cache (the §V-B
+// future-work extension) to size states; 0, the default, is unbounded. A
+// state is kept on its second visit while fewer than size are kept; after
+// that nothing is admitted or evicted, and every other state is expanded
+// afresh on each visit. The bound changes speed, memory and Expansions,
+// never what fires.
+func WithStateCache(size int) ConnectOption {
+	return func(c *connectCfg) { c.cacheSize = size }
 }
-
-// CachePolicy selects the state-cache eviction policy.
-type CachePolicy uint8
-
-// Cache eviction policies.
-const (
-	LRU    CachePolicy = CachePolicy(engine.LRU)
-	FIFO   CachePolicy = CachePolicy(engine.FIFO)
-	Random CachePolicy = CachePolicy(engine.RandomEvict)
-)
 
 // WithSeed fixes the nondeterministic-choice seed for reproducible runs.
 func WithSeed(s int64) ConnectOption { return func(c *connectCfg) { c.seed = s } }
@@ -686,7 +676,6 @@ func buildCoordinator(asm *compile.Assembly, name string, cfg *connectCfg) (engi
 	eopts := engine.Options{
 		Expand:    cfg.expand,
 		CacheSize: cfg.cacheSize,
-		Policy:    cfg.policy,
 		Seed:      cfg.seed,
 		MaxStates: cfg.maxStates,
 		Workers:   cfg.workers,
@@ -857,9 +846,9 @@ func (i *Instance) Steps() int64 { return i.coord.Steps() }
 
 // Expansions returns how many times a composite state has been expanded
 // at run time (composition work deferred to run time). Every expansion
-// counts: with the default unbounded cache a state visited once costs 1
-// and a state kept on its second visit 2; with WithStateCache a state is
-// expanded again after each eviction.
+// counts: a state visited once costs 1 and a state kept on its second
+// visit 2; once a WithStateCache bound is reached, a state not kept costs
+// 1 on every visit.
 func (i *Instance) Expansions() int64 { return i.coord.Expansions() }
 
 // PlansCompiled returns how many transition plans the instance has

@@ -465,7 +465,7 @@ Buffers(in[];out[]) = prod (i:1..#in) Fifo1(in[i];out[i])
 		t.Fatal(err)
 	}
 	inst, err := conn.Connect(map[string]int{"in": 6, "out": 6},
-		reo.WithStateCache(4, reo.LRU), reo.WithSeed(1))
+		reo.WithStateCache(4), reo.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	reo "repro"
 	"repro/internal/connlib"
@@ -31,54 +32,116 @@ func reuseOpts() []reo.ConnectOption {
 }
 
 // TestReuseDifferential drives the seeded LateAsyncRouter (a connector
-// whose rng choices are observable in which output each value lands
-// on) through the deterministic schedule, recycling the instance
-// between runs: every recycled run must reproduce the fresh run's
-// per-port sequences and counters exactly.
+// whose rng choices are observable in which output each value lands on)
+// through a fixed schedule, recycling the instance between runs. On the
+// synchronous region lane every recycled run must reproduce the fresh
+// run's per-port sequences and counters exactly. On the shared runtime
+// worker timing decides which region fires first, so, as the explorer
+// does for choice-bearing connectors on timing-dependent lanes, that lane
+// is held only to what timing cannot change: no run fails, and every value
+// sent arrives on exactly one output. On both, a recycled run compiles no
+// plans.
 func TestReuseDifferential(t *testing.T) {
 	d, err := connlib.ByName("LateAsyncRouter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n, rounds = 3, 6
-	// plans is the instance's compiled-plan count at the end of the last
-	// run; the pool hands the same instance back, plans and all.
-	var plans int64
-	run := func() *gendrv.Result {
+	// recycle connects with opts and drives the instance, which drive must
+	// close (recycling it into the template pool), then does so again three
+	// times; round -1 is the fresh instance.
+	recycle := func(t *testing.T, opts []reo.ConnectOption, drive func(inst *reo.Instance, round int)) {
 		t.Helper()
-		inst, err := d.Connect(n, reuseOpts()...)
-		if err != nil {
-			t.Fatal(err)
+		var plans int64
+		for round := -1; round < 3; round++ {
+			inst, err := d.Connect(n, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive(inst, round)
+			// The pool hands the same instance back, plans and all.
+			if round >= 0 && inst.PlansCompiled() != plans {
+				t.Errorf("round %d: recycled run compiled %d new plans, want 0 (plans live with the instance)", round, inst.PlansCompiled()-plans)
+			}
+			plans = inst.PlansCompiled()
 		}
-		res, err := gendrv.Drive(inst.Backend(), "one2many", n, rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = inst.PlansCompiled()
-		inst.Close() // recycles into the template pool
-		return res
-	}
-	fresh := run()
-	if plans == 0 {
-		t.Fatal("fresh run compiled no plans")
-	}
-	for round := 0; round < 3; round++ {
-		before := plans
-		recycled := run()
-		if plans != before {
-			t.Errorf("round %d: recycled run compiled %d new plans, want 0 (plans live with the instance)", round, plans-before)
-		}
-		if !reflect.DeepEqual(fresh.Seqs, recycled.Seqs) {
-			t.Errorf("round %d: per-port sequences differ\nfresh:    %v\nrecycled: %v\n%s",
-				round, fresh.Seqs, recycled.Seqs, reproCmd(t, 7))
-		}
-		if fresh.Steps != recycled.Steps {
-			t.Errorf("round %d: steps differ: fresh %d, recycled %d\n%s", round, fresh.Steps, recycled.Steps, reproCmd(t, 7))
-		}
-		if fresh.GuardEvals != recycled.GuardEvals {
-			t.Errorf("round %d: guard evals differ: fresh %d, recycled %d\n%s", round, fresh.GuardEvals, recycled.GuardEvals, reproCmd(t, 7))
+		if plans == 0 {
+			t.Fatal("fresh run compiled no plans")
 		}
 	}
+	t.Run("sync", func(t *testing.T) {
+		var fresh *gendrv.Result
+		opts := []reo.ConnectOption{reo.WithSeed(7), reo.WithPartitioning(reo.PartitionRegions), reo.WithReuse(true)}
+		recycle(t, opts, func(inst *reo.Instance, round int) {
+			res, err := gendrv.Drive(inst.Backend(), "one2many", n, rounds)
+			inst.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh == nil {
+				fresh = res
+				return
+			}
+			if !reflect.DeepEqual(fresh.Seqs, res.Seqs) {
+				t.Errorf("round %d: per-port sequences differ\nfresh:    %v\nrecycled: %v\n%s",
+					round, fresh.Seqs, res.Seqs, reproCmd(t, 7))
+			}
+			if fresh.Steps != res.Steps {
+				t.Errorf("round %d: steps differ: fresh %d, recycled %d\n%s", round, fresh.Steps, res.Steps, reproCmd(t, 7))
+			}
+			if fresh.GuardEvals != res.GuardEvals {
+				t.Errorf("round %d: guard evals differ: fresh %d, recycled %d\n%s", round, fresh.GuardEvals, res.GuardEvals, reproCmd(t, 7))
+			}
+		})
+	})
+	t.Run("runtime", func(t *testing.T) {
+		recycle(t, reuseOpts(), func(inst *reo.Instance, round int) {
+			vs := make([]any, n*rounds)
+			for i := range vs {
+				vs[i] = gendrv.Tag(0, i)
+			}
+			// Room for every value twice: a duplicate delivery must reach
+			// the check below, not block its receiver.
+			recvd := make(chan any, 2*len(vs))
+			var wg sync.WaitGroup
+			for _, in := range inst.Inports("out") {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						v, err := in.Recv()
+						if err != nil {
+							return // closed once every value arrived
+						}
+						recvd <- v
+					}
+				}()
+			}
+			got := make(map[any]int)
+			within(t, 10*time.Second, "every value delivered", func() {
+				if err := inst.Outports("in")[0].SendBatch(vs); err != nil {
+					t.Errorf("round %d: send: %v", round, err)
+					return
+				}
+				for range vs {
+					got[<-recvd]++
+				}
+			})
+			inst.Close()
+			wg.Wait()
+			for len(recvd) > 0 {
+				got[<-recvd]++
+			}
+			for _, v := range vs {
+				if got[v] != 1 {
+					t.Errorf("round %d: value %v received %d times, want once", round, v, got[v])
+				}
+			}
+			if len(got) != len(vs) {
+				t.Errorf("round %d: %d distinct values received, %d sent: %v", round, len(got), len(vs), got)
+			}
+		})
+	})
 }
 
 // TestReuseCounterResetAndStats: a recycled instance starts with zeroed
