@@ -72,38 +72,45 @@ func TestJointCacheBoundedStopsAdmitting(t *testing.T) {
 	}
 }
 
-// TestReExpansionWhenFull: with a cache bound of one state, a Fifo1 keeps
-// the first state it enters twice — its initial, empty state — and must
-// re-expand the other on every visit, still moving data correctly.
-func TestReExpansionWhenFull(t *testing.T) {
-	u := ca.NewUniverse()
-	a, b := u.Port("a"), u.Port("b")
-	u.SetDir(a, ca.DirSource)
-	u.SetDir(b, ca.DirSink)
-	e, err := New(u, []*ca.Automaton{prim.Fifo1(u, a, b)}, Options{CacheSize: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	const rounds = 10
-	for i := 0; i < rounds; i++ {
-		if err := e.Send(a, i); err != nil {
-			t.Fatal(err)
-		}
-		v, err := e.Recv(b)
-		if err != nil || v != i {
-			t.Fatalf("recv = %v, %v; want %d", v, err, i)
-		}
-	}
-	if e.Steps() != 2*rounds {
-		t.Errorf("steps = %d, want %d", e.Steps(), 2*rounds)
-	}
-	// The empty state costs two expansions, the full one one per visit.
-	if e.Expansions() != rounds+2 {
-		t.Errorf("expansions = %d, want %d", e.Expansions(), rounds+2)
-	}
-	if e.CachedStates() != 1 || len(e.cache.m) != 2 {
-		t.Errorf("cached states = %d of %d entries, want 1 of 2", e.CachedStates(), len(e.cache.m))
+// TestReExpansionAfterEviction: with a cache bound of one state, the
+// eviction policies this cache replaced made a Fifo1's two states evict
+// each other on every step; the subtests keep their names. Nothing is
+// evicted now: the cache keeps the first state entered twice — the
+// initial, empty state — and must re-expand the other on every visit,
+// still moving data correctly.
+func TestReExpansionAfterEviction(t *testing.T) {
+	for _, name := range []string{"lru", "fifo", "random"} {
+		t.Run(name, func(t *testing.T) {
+			u := ca.NewUniverse()
+			a, b := u.Port("a"), u.Port("b")
+			u.SetDir(a, ca.DirSource)
+			u.SetDir(b, ca.DirSink)
+			e, err := New(u, []*ca.Automaton{prim.Fifo1(u, a, b)}, Options{CacheSize: 1, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			const rounds = 10
+			for i := 0; i < rounds; i++ {
+				if err := e.Send(a, i); err != nil {
+					t.Fatal(err)
+				}
+				v, err := e.Recv(b)
+				if err != nil || v != i {
+					t.Fatalf("recv = %v, %v; want %d", v, err, i)
+				}
+			}
+			if e.Steps() != 2*rounds {
+				t.Errorf("steps = %d, want %d", e.Steps(), 2*rounds)
+			}
+			// The empty state costs two expansions, the full one one per visit.
+			if e.Expansions() != rounds+2 {
+				t.Errorf("expansions = %d, want %d", e.Expansions(), rounds+2)
+			}
+			if e.CachedStates() != 1 || len(e.cache.m) != 2 {
+				t.Errorf("cached states = %d of %d entries, want 1 of 2", e.CachedStates(), len(e.cache.m))
+			}
+		})
 	}
 }
 

@@ -469,9 +469,16 @@ func TestEngineWrongDirection(t *testing.T) {
 func TestEngineBoundedCacheCorrect(t *testing.T) {
 	// A chain of independent fifos visits many composite states; a tiny
 	// cache must still behave correctly (re-expand the states it could not
-	// keep).
-	for _, size := range []int{1, 2} {
-		t.Run(fmt.Sprintf("cap=%d", size), func(t *testing.T) {
+	// keep). The lru, fifo and random runs keep the names of the eviction
+	// policies this cache replaced, at the bound of 2 they ran at: with
+	// the policy gone, each is the same admission cache under a fresh
+	// goroutine interleaving.
+	for _, cc := range []struct {
+		name string
+		size int
+	}{{"cap=1", 1}, {"lru", 2}, {"fifo", 2}, {"random", 2}} {
+		size := cc.size
+		t.Run(cc.name, func(t *testing.T) {
 			u := ca.NewUniverse()
 			const n = 4
 			var auts []*ca.Automaton

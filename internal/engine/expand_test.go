@@ -182,17 +182,24 @@ type fixedRun struct {
 
 // pinnedRuns holds what the fixed schedule did at the parent of the change
 // that introduced the cluster memo and successor links. A cache bound may
-// only change the work a run does, never what fires: the cap2 rows pin the
-// same steps, guard evaluations and sequences as the unbounded ones. (The
-// rows of the eviction policies this cache replaced pinned the same too,
-// except the random one, whose eviction drew from the choice RNG.)
-// Expansions and kept states are not pinned (they read 0 here) but derived
-// from the states the run enters, by replayAdmission.
+// only change the work a run does, never what fires. The lru, fifo and
+// random rows are the cache of 2 states those eviction policies ran; the
+// policy is gone, so all three run the one admission cache and pin the
+// same steps, guard evaluations and sequences as the unbounded rows. (The
+// parent pinned the same for lru and fifo; its random rows differed, at
+// {396, 790, …, 0x33a91188ae8a581a} and {400, 681, …, 0x3ba4c7d3fd9d7279},
+// only because eviction drew from the choice RNG.) Expansions and kept
+// states are not pinned (they read 0 here) but derived from the states the
+// run enters, by replayAdmission.
 var pinnedRuns = map[string]fixedRun{
 	"EarlyAsyncMerger/unbounded": {396, 791, 0, 0, 0x93f24d3706c49415},
-	"EarlyAsyncMerger/cap2":      {396, 791, 0, 0, 0x93f24d3706c49415},
+	"EarlyAsyncMerger/lru":       {396, 791, 0, 0, 0x93f24d3706c49415},
+	"EarlyAsyncMerger/fifo":      {396, 791, 0, 0, 0x93f24d3706c49415},
+	"EarlyAsyncMerger/random":    {396, 791, 0, 0, 0x93f24d3706c49415},
 	"LateAsyncRouter/unbounded":  {400, 678, 0, 0, 0x79ec9d04de81a776},
-	"LateAsyncRouter/cap2":       {400, 678, 0, 0, 0x79ec9d04de81a776},
+	"LateAsyncRouter/lru":        {400, 678, 0, 0, 0x79ec9d04de81a776},
+	"LateAsyncRouter/fifo":       {400, 678, 0, 0, 0x79ec9d04de81a776},
+	"LateAsyncRouter/random":     {400, 678, 0, 0, 0x79ec9d04de81a776},
 }
 
 // recordVisits records, in order, the composite states e enters: the state
@@ -238,7 +245,7 @@ func TestFixedScheduleRunUnchanged(t *testing.T) {
 		for _, cc := range []struct {
 			name string
 			size int
-		}{{"unbounded", 0}, {"cap2", 2}} {
+		}{{"unbounded", 0}, {"lru", 2}, {"fifo", 2}, {"random", 2}} {
 			name := tc.name + "/" + cc.name
 			t.Run(name, func(t *testing.T) {
 				asm := assembleSrc(t, tc.src, tc.name+"18", tc.param, 4)
