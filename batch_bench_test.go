@@ -4,8 +4,8 @@
 // (plus fused dispatch on pure-flow transitions). batch=1 is the scalar
 // Send/Recv path; the acceptance bar of the batched-port refactor is
 // batch=64 sustaining at least 2x the scalar rate. The same workload
-// backs `reoc bench-batch`, whose JSON rows the CI perf gate compares
-// against BENCH_baseline.json.
+// backs examples/pipeline; the benchmark harness's pipeline-scalar and
+// pipeline-batch workloads measure the chain end to end.
 package reo_test
 
 import (

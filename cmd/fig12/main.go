@@ -18,13 +18,12 @@ import (
 
 func main() {
 	var (
-		budget   = flag.Duration("budget", 500*time.Millisecond, "measurement budget per (connector, N, approach)")
-		ns       = flag.String("N", "2,4,8,16,32,64", "comma-separated task counts")
-		conns    = flag.String("connectors", "", "comma-separated connector names (default: all eighteen)")
-		maxSt    = flag.Int("max-static-states", 1<<16, "existing compiler's automaton capacity")
-		reps     = flag.Int("reps", 1, "repetitions of the sweep; best steps per cell reported (use >= 3 for CI gating)")
-		verbose  = flag.Bool("v", false, "progress output")
-		jsonPath = flag.String("json", "", "also write machine-readable results (BENCH_fig12.json schema) to this file")
+		budget  = flag.Duration("budget", 500*time.Millisecond, "measurement budget per (connector, N, approach)")
+		ns      = flag.String("N", "2,4,8,16,32,64", "comma-separated task counts")
+		conns   = flag.String("connectors", "", "comma-separated connector names (default: all eighteen)")
+		maxSt   = flag.Int("max-static-states", 1<<16, "existing compiler's automaton capacity")
+		reps    = flag.Int("reps", 1, "repetitions of the sweep; best steps per cell reported")
+		verbose = flag.Bool("v", false, "progress output")
 	)
 	flag.Parse()
 
@@ -63,12 +62,4 @@ func main() {
 	}
 	rows := bench.MergeBest(runs)
 	fmt.Print(bench.FormatFig12(rows))
-
-	jsonRows := bench.Fig12JSONRows(rows, *budget)
-	if *jsonPath != "" {
-		if err := bench.WriteJSONRows(*jsonPath, jsonRows); err != nil {
-			fmt.Fprintln(os.Stderr, "fig12:", err)
-			os.Exit(1)
-		}
-	}
 }

@@ -9,9 +9,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	reo "repro"
-	"repro/internal/bench"
 	"repro/internal/genlib/msfabric"
 	"repro/internal/npb"
 )
@@ -27,7 +27,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "scheduler workers for partition=regions (0 = synchronous, <0 = GOMAXPROCS)")
 		fullExp   = flag.Bool("full-expansion", false, "textbook joint enumeration (reproduces the §V-C(3) blow-up)")
 		backend   = flag.String("backend", "interpreted", "Reo-variant backend: interpreted (the connector engine) or generated (static per-region code, `reoc gen`)")
-		jsonPath  = flag.String("json", "", "also write machine-readable results (BENCH_fig13.json schema, fig12 -json parity) to this file")
 	)
 	flag.Parse()
 
@@ -69,9 +68,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fig13: bad -batch %d (need >= 1)\n", *batch)
 		os.Exit(2)
 	}
-	// Both variants run the same batched scatter/gather structure; the
-	// rows land in the -json output keyed with their batch degree, so
-	// batched sweeps track separately from the scalar baseline cells.
+	// Both variants run the same batched scatter/gather structure; each
+	// row carries its batch degree in the table.
 	npb.DefaultBatch = *batch
 
 	var programs []string
@@ -103,14 +101,14 @@ func main() {
 		nList = append(nList, n)
 	}
 
-	var rows []bench.Fig13Row
+	var rows []fig13Row
 	for _, p := range programs {
 		for _, c := range classList {
 			for _, n := range nList {
 				for _, v := range []npb.Variant{npb.Orig, reoVariant} {
-					best := bench.RunFig13(p, c, v, n)
+					best := runFig13(p, c, v, n)
 					for r := 1; r < *reps && best.Err == nil; r++ {
-						row := bench.RunFig13(p, c, v, n)
+						row := runFig13(p, c, v, n)
 						if row.Err == nil && row.Elapsed < best.Elapsed {
 							best = row
 						}
@@ -120,11 +118,60 @@ func main() {
 			}
 		}
 	}
-	fmt.Print(bench.FormatFig13(rows))
-	if *jsonPath != "" {
-		if err := bench.WriteFig13JSON(*jsonPath, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "fig13:", err)
-			os.Exit(1)
-		}
+	fmt.Print(formatFig13(rows))
+}
+
+// fig13Row is one NPB measurement.
+type fig13Row struct {
+	Program string
+	Class   npb.Class
+	Variant npb.Variant
+	Slaves  int
+	// Batch is the scatter/gather batching degree the run used
+	// (npb.DefaultBatch at measurement time; 1 = the paper's structure).
+	Batch   int
+	Elapsed time.Duration
+	Steps   int64
+	Err     error
+}
+
+// runFig13 measures one NPB configuration under the current
+// npb.DefaultBatch (stamped into the row so batched runs stay
+// distinguishable in the table).
+func runFig13(program string, class npb.Class, variant npb.Variant, slaves int) fig13Row {
+	row := fig13Row{Program: program, Class: class, Variant: variant, Slaves: slaves, Batch: npb.DefaultBatch}
+	prog, err := npb.ProgramByName(program)
+	if err != nil {
+		row.Err = err
+		return row
 	}
+	start := time.Now()
+	res, err := prog.Run(class, variant, slaves)
+	row.Elapsed = time.Since(start)
+	if err != nil {
+		row.Err = err
+		return row
+	}
+	row.Steps = res.Steps
+	return row
+}
+
+// formatFig13 renders the measurement table.
+func formatFig13(rows []fig13Row) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-8s %-6s %-8s %4s %6s %14s %12s\n", "program", "class", "variant", "N", "batch", "time", "conn-steps")
+	for _, r := range rows {
+		batch := r.Batch
+		if batch < 1 {
+			batch = 1
+		}
+		if r.Err != nil {
+			fmt.Fprintf(&sb, "%-8s %-6s %-8s %4d %6d %14s %12s (%v)\n",
+				r.Program, r.Class, r.Variant, r.Slaves, batch, "ERROR", "-", r.Err)
+			continue
+		}
+		fmt.Fprintf(&sb, "%-8s %-6s %-8s %4d %6d %14s %12d\n",
+			r.Program, r.Class, r.Variant, r.Slaves, batch, r.Elapsed.Round(time.Microsecond), r.Steps)
+	}
+	return sb.String()
 }

@@ -13,23 +13,15 @@
 //	reoc gen file.reo Connector [-o dir] [-pkg name] [-force]
 //	reoc verify file.reo Connector [-n N]
 //	reoc explore [-seed S] [-rounds R] [-max-ops K] [-max-prims P] [-backends list] [-shrink] [-selfcheck-mutate]
-//	reoc bench-compare baseline.json current.json... [-threshold 0.25]
-//	reoc bench-batch out.json [-stages S] [-items I] [-batches 1,8,64,512] [-reps R]
-//	reoc bench-gen out.json [-items I] [-lanes L] [-npb-slaves K] [-reps R]
-//	reoc bench-instances out.json [-cycles C] [-instances K] [-rounds P] [-reps R]
-//	reoc bench-remote out.json [-lanes L] [-mem-items I] [-tcp-items J] [-reps R]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	reo "repro"
 	"repro/internal/ast"
-	"repro/internal/bench"
 	"repro/internal/ca"
 	"repro/internal/check"
 	"repro/internal/compile"
@@ -37,7 +29,6 @@ import (
 	"repro/internal/flatten"
 	"repro/internal/gen"
 	"repro/internal/normalize"
-	"repro/internal/npb"
 	"repro/internal/parser"
 	"repro/internal/sema"
 )
@@ -54,26 +45,6 @@ func main() {
 	file := os.Args[2]
 	rest := os.Args[3:]
 
-	if cmd == "bench-compare" {
-		benchCompare(file, rest)
-		return
-	}
-	if cmd == "bench-batch" {
-		benchBatch(file, rest)
-		return
-	}
-	if cmd == "bench-gen" {
-		benchGen(file, rest)
-		return
-	}
-	if cmd == "bench-instances" {
-		benchInstances(file, rest)
-		return
-	}
-	if cmd == "bench-remote" {
-		benchRemote(file, rest)
-		return
-	}
 	if cmd == "gen" {
 		os.Exit(gen.RunCLI(append([]string{file}, rest...), os.Stdout, os.Stderr))
 	}
@@ -194,280 +165,6 @@ func main() {
 		}
 	default:
 		usage()
-	}
-}
-
-// benchCompare is the CI perf-regression gate: compare one or more
-// benchmark JSON artifacts (BENCH_fig12.json / BENCH_fig13.json /
-// bench-batch schemas) against a checked-in baseline and exit non-zero
-// when any cell's rate dropped by more than the threshold (or vanished).
-// Multiple current artifacts concatenate, so a baseline can hold cells
-// produced by different sweeps (the fig12 sweep and the batched-port
-// sweep) and gate them in one invocation.
-func benchCompare(baselinePath string, rest []string) {
-	var currentPaths []string
-	for len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
-		currentPaths = append(currentPaths, rest[0])
-		rest = rest[1:]
-	}
-	if len(currentPaths) == 0 {
-		usage()
-	}
-	fs := flag.NewFlagSet("bench-compare", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0.25, "allowed fractional rate drop per cell")
-	minRows := fs.Int("min-rows", 1, "minimum rows the current artifacts must contain together (guards against an empty run passing)")
-	fs.Parse(rest)
-
-	baseline, err := bench.ReadCompareRows(baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	// An empty (or all-unmeasured) baseline gates nothing: every
-	// comparison would pass vacuously, which is indistinguishable from a
-	// healthy run in CI logs. Fail loudly instead.
-	if len(baseline) == 0 {
-		fmt.Fprintf(os.Stderr, "bench-compare: baseline %s has no rows — the gate would pass vacuously; regenerate the baseline\n", baselinePath)
-		os.Exit(1)
-	}
-	if len(bench.BestRates(baseline)) == 0 {
-		fmt.Fprintf(os.Stderr, "bench-compare: baseline %s has no measured cells (every rate is 0) — the gate would pass vacuously; regenerate the baseline\n", baselinePath)
-		os.Exit(1)
-	}
-	var current []bench.CompareRow
-	for _, path := range currentPaths {
-		rows, err := bench.ReadCompareRows(path)
-		if err != nil {
-			fatal(err)
-		}
-		current = append(current, rows...)
-	}
-	if len(current) == 0 {
-		fmt.Fprintf(os.Stderr, "bench-compare: current artifacts (%s) have no rows — the benchmark run produced nothing to gate\n", strings.Join(currentPaths, "+"))
-		os.Exit(1)
-	}
-	if len(current) < *minRows {
-		fmt.Fprintf(os.Stderr, "bench-compare: current artifacts have %d rows, need >= %d\n", len(current), *minRows)
-		os.Exit(1)
-	}
-	regs := bench.CompareRates(baseline, current, *threshold)
-	fmt.Printf("bench-compare: %d baseline cells vs %s (threshold %.0f%% drop)\n",
-		len(bench.BestRates(baseline)), strings.Join(currentPaths, "+"), 100**threshold)
-	if ratio, cells := bench.GeomeanRatio(baseline, current); cells > 0 {
-		fmt.Printf("bench-compare: geomean current/baseline = %.3fx over %d cells\n", ratio, cells)
-	}
-	if len(regs) == 0 {
-		fmt.Println("bench-compare: OK — no cell regressed")
-		return
-	}
-	for _, r := range regs {
-		fmt.Printf("  REGRESSION %s\n", r)
-	}
-	// Name the offending cells in the error itself: CI surfaces stderr,
-	// and "3 cell(s) regressed" without the keys forces a dig through the
-	// full log to learn which approach/connector/N combination broke.
-	keys := make([]string, len(regs))
-	for i, r := range regs {
-		keys[i] = r.Key
-	}
-	fmt.Fprintf(os.Stderr, "bench-compare: %d cell(s) regressed: %s\n", len(regs), strings.Join(keys, ", "))
-	os.Exit(1)
-}
-
-// benchBatch runs the batched-port throughput sweep (the workload of
-// BenchmarkBatchedThroughput) and writes machine-readable rows for the
-// perf-regression gate: items/s through the stage-coupled Fifo1 pipeline
-// per batch size, best of -reps runs.
-func benchBatch(outPath string, rest []string) {
-	fs := flag.NewFlagSet("bench-batch", flag.ExitOnError)
-	stages := fs.Int("stages", 4, "pipeline stages")
-	items := fs.Int("items", 1<<14, "items moved per measurement")
-	batches := fs.String("batches", "1,8,64,512", "comma-separated batch sizes")
-	reps := fs.Int("reps", 3, "repetitions per batch size (best run reported; use >= 3 for CI gating)")
-	fs.Parse(rest)
-	if *reps < 1 {
-		*reps = 1
-	}
-
-	var results []bench.BatchResult
-	for _, s := range strings.Split(*batches, ",") {
-		batch, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || batch < 1 {
-			fmt.Fprintf(os.Stderr, "bench-batch: bad batch size %q\n", s)
-			os.Exit(2)
-		}
-		best, err := bench.RunBatchThroughput(*stages, *items, batch)
-		if err != nil {
-			fatal(err)
-		}
-		for r := 1; r < *reps; r++ {
-			res, err := bench.RunBatchThroughput(*stages, *items, batch)
-			if err != nil {
-				fatal(err)
-			}
-			if res.Elapsed < best.Elapsed {
-				best = res
-			}
-		}
-		fmt.Printf("bench-batch: stages=%d items=%d batch=%-4d %12.0f items/s (%d conn steps)\n",
-			best.Stages, best.Items, best.Batch, best.ItemsPerSec(), best.Steps)
-		results = append(results, best)
-	}
-	if err := bench.WriteBatchJSON(outPath, results); err != nil {
-		fatal(err)
-	}
-}
-
-// benchGen runs the generated-vs-interpreted comparisons and writes
-// fig12-schema rows for the perf-regression gate: the interpreted
-// FireSteady lane, the n-lane RegionScaling fabric on both backends
-// (interpreted region partitioning vs the internal/genlib/fabric
-// package), and one NPB program on the generated fabric — best of -reps
-// runs each.
-func benchGen(outPath string, rest []string) {
-	fs := flag.NewFlagSet("bench-gen", flag.ExitOnError)
-	items := fs.Int("items", 1<<17, "values moved end to end per measurement")
-	lanes := fs.Int("lanes", 16, "fabric width of the RegionScaling cells")
-	fabricItems := fs.Int("fabric-items", 1<<14, "values moved per lane in the RegionScaling cells")
-	npbSlaves := fs.Int("npb-slaves", 4, "slave count of the generated NPB cell")
-	reps := fs.Int("reps", 3, "repetitions (best run reported; use >= 3 for CI gating)")
-	fs.Parse(rest)
-	if *reps < 1 {
-		*reps = 1
-	}
-	bestOf := func(run func() ([]bench.GenResult, error)) []bench.GenResult {
-		best, err := run()
-		if err != nil {
-			fatal(err)
-		}
-		for r := 1; r < *reps; r++ {
-			res, err := run()
-			if err != nil {
-				fatal(err)
-			}
-			for i := range best {
-				if res[i].Elapsed < best[i].Elapsed {
-					best[i] = res[i]
-				}
-			}
-		}
-		return best
-	}
-	var results []bench.GenResult
-	results = append(results, bestOf(func() ([]bench.GenResult, error) {
-		res, err := bench.RunGenSteady(*items)
-		return []bench.GenResult{res}, err
-	})...)
-	results = append(results, bestOf(func() ([]bench.GenResult, error) {
-		return bench.RunGenRegionScaling(*lanes, *fabricItems)
-	})...)
-	results = append(results, bestOf(func() ([]bench.GenResult, error) {
-		res, err := bench.RunGenNPB("EP", npb.ClassS, *npbSlaves)
-		return []bench.GenResult{res}, err
-	})...)
-	for _, r := range results {
-		fmt.Printf("bench-gen: %-12s %-8s N=%-3d %12.0f steps/s\n",
-			r.Approach, r.Connector, r.N, r.StepsPerSec())
-	}
-	if err := bench.WriteGenJSON(outPath, results); err != nil {
-		fatal(err)
-	}
-}
-
-// benchInstances runs the multi-instance serving cells — InstanceChurn
-// (full Connect/fire/Close cycles, dedicated pool vs shared runtime
-// with pooled reuse) and ManyInstances (round-robin fires across many
-// live instances on the shared runtime) — and writes perf-gate rows,
-// best of -reps runs per cell.
-func benchInstances(outPath string, rest []string) {
-	fs := flag.NewFlagSet("bench-instances", flag.ExitOnError)
-	cycles := fs.Int("cycles", 2000, "Connect/fire/Close cycles per churn measurement")
-	instances := fs.Int("instances", 10000, "live instances for the many-instances cell")
-	rounds := fs.Int("rounds", 10, "round-robin passes over the live instances")
-	reps := fs.Int("reps", 3, "repetitions per cell (best run reported; use >= 3 for CI gating)")
-	fs.Parse(rest)
-	if *reps < 1 {
-		*reps = 1
-	}
-
-	run := func(f func() (bench.InstanceResult, error)) bench.InstanceResult {
-		best, err := f()
-		if err != nil {
-			fatal(err)
-		}
-		for r := 1; r < *reps; r++ {
-			res, err := f()
-			if err != nil {
-				fatal(err)
-			}
-			if res.Elapsed < best.Elapsed {
-				best = res
-			}
-		}
-		return best
-	}
-	results := []bench.InstanceResult{
-		run(func() (bench.InstanceResult, error) { return bench.RunInstanceChurn(*cycles, false) }),
-		run(func() (bench.InstanceResult, error) { return bench.RunInstanceChurn(*cycles, true) }),
-		run(func() (bench.InstanceResult, error) { return bench.RunManyInstances(*instances, *rounds) }),
-	}
-	for _, r := range results {
-		fmt.Printf("bench-instances: %-15s instances=%-6d %12.0f ops/s\n",
-			r.Approach, r.Instances, r.OpsPerSec())
-	}
-	if err := bench.WriteInstanceJSON(outPath, results); err != nil {
-		fatal(err)
-	}
-}
-
-// benchRemote runs the region-link transport cells — the lane connector
-// in-process (transport mem) and split across two TCP-joined instances
-// over loopback (transport tcp, at one lane and at -lanes lanes) — and
-// writes perf-gate rows, best of -reps runs per cell. The tcp cells are
-// round-trip-bound by design (a cut Fifo1 keeps its planned capacity of
-// one end to end), so their rates gate the wire path's constant
-// factors, not bulk bandwidth. The payload sweep runs each tcp shape
-// twice: small ints (framing and round-trip cost) and 1 KiB byte
-// slices (bulk encode and buffer reuse).
-func benchRemote(outPath string, rest []string) {
-	fs := flag.NewFlagSet("bench-remote", flag.ExitOnError)
-	lanes := fs.Int("lanes", 4, "lane count of the multi-lane cells")
-	memItems := fs.Int("mem-items", 1<<14, "items moved per mem measurement")
-	tcpItems := fs.Int("tcp-items", 1<<11, "items moved per tcp measurement (round-trip bound, keep small)")
-	reps := fs.Int("reps", 3, "repetitions per cell (best run reported; use >= 3 for CI gating)")
-	fs.Parse(rest)
-	if *reps < 1 {
-		*reps = 1
-	}
-
-	run := func(transport, payload string, lanes, items int) bench.RemoteResult {
-		best, err := bench.RunRemoteLinkPayload(transport, payload, lanes, items)
-		if err != nil {
-			fatal(err)
-		}
-		for r := 1; r < *reps; r++ {
-			res, err := bench.RunRemoteLinkPayload(transport, payload, lanes, items)
-			if err != nil {
-				fatal(err)
-			}
-			if res.Elapsed < best.Elapsed {
-				best = res
-			}
-		}
-		return best
-	}
-	results := []bench.RemoteResult{
-		run("mem", bench.PayloadInt, *lanes, *memItems),
-		run("tcp", bench.PayloadInt, 1, *tcpItems / *lanes),
-		run("tcp", bench.PayloadInt, *lanes, *tcpItems),
-		run("tcp", bench.PayloadBulk, 1, *tcpItems / *lanes),
-		run("tcp", bench.PayloadBulk, *lanes, *tcpItems),
-	}
-	for _, r := range results {
-		fmt.Printf("bench-remote: transport=%-4s payload=%-4s lanes=%-3d %12.0f items/s (%d conn steps)\n",
-			r.Transport, r.Payload, r.Lanes, r.ItemsPerSec(), r.Steps)
-	}
-	if err := bench.WriteRemoteJSON(outPath, results); err != nil {
-		fatal(err)
 	}
 }
 
@@ -594,11 +291,6 @@ func usage() {
   reoc regions  file.reo Connector [-n N] [-workers W]
   reoc gen      file.reo Connector [-o dir] [-pkg name] [-force]
   reoc verify   file.reo Connector [-n N]
-  reoc explore  [-seed S] [-rounds R] [-max-ops K] [-max-prims P] [-backends list] [-shrink] [-selfcheck-mutate] [-v]
-  reoc bench-compare baseline.json current.json... [-threshold 0.25] [-min-rows K]
-  reoc bench-batch out.json [-stages S] [-items I] [-batches 1,8,64,512] [-reps R]
-  reoc bench-gen out.json [-items I] [-lanes L] [-npb-slaves K] [-reps R]
-  reoc bench-instances out.json [-cycles C] [-instances K] [-rounds P] [-reps R]
-  reoc bench-remote out.json [-lanes L] [-mem-items I] [-tcp-items J] [-reps R]`)
+  reoc explore  [-seed S] [-rounds R] [-max-ops K] [-max-prims P] [-backends list] [-shrink] [-selfcheck-mutate] [-v]`)
 	os.Exit(2)
 }

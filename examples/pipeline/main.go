@@ -74,8 +74,8 @@ func main() {
 }
 
 // throughput runs the shared batched-pipeline workload (the same pump
-// behind BenchmarkBatchedThroughput and `reoc bench-batch`) and returns
-// global execution steps per second.
+// behind BenchmarkBatchedThroughput) and returns global execution steps
+// per second.
 func throughput(n, items, batch int) float64 {
 	res, err := bench.RunBatchThroughput(n, items, batch)
 	if err != nil {

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -17,8 +15,7 @@ import (
 // whole batch into one dispatch decision. The workload is the
 // stage-coupled Fifo1 pipeline (the fig13-style streaming shape hand-
 // written channels win on), moved once per measurement at a given batch
-// size; items/s is the metric and lands in the same perf-trajectory JSON
-// schema the fig12 sweep uses.
+// size; items/s is the metric.
 
 // batchPipelineSrc is the stage-coupled pipeline protocol: one buffered
 // lane per hop, tasks attached between hops (the examples/pipeline and
@@ -134,31 +131,4 @@ func RunBatchThroughput(stages, items, batch int, opts ...reo.ConnectOption) (Ba
 	inst.Close()
 	wg.Wait()
 	return res, nil
-}
-
-// BatchJSONRows flattens batched-throughput results into the perf-gate
-// schema: approach "batched", connector "BatchPipeline", n = batch size,
-// steps_per_sec = items/s (the rate the gate compares).
-func BatchJSONRows(results []BatchResult) []CompareRow {
-	out := make([]CompareRow, 0, len(results))
-	for _, r := range results {
-		out = append(out, CompareRow{
-			Approach:    "batched",
-			Connector:   "BatchPipeline",
-			N:           r.Batch,
-			StepsPerSec: r.ItemsPerSec(),
-		})
-	}
-	return out
-}
-
-// WriteBatchJSON writes batched-throughput rows to path in the
-// BENCH_fig12.json-compatible schema, so `reoc bench-compare` gates them
-// against the checked-in baseline cells.
-func WriteBatchJSON(path string, results []BatchResult) error {
-	data, err := json.MarshalIndent(BatchJSONRows(results), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,17 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
 
 	reo "repro"
 	"repro/internal/connlib"
-	"repro/internal/npb"
 )
 
 // Approach names one compilation/execution approach under comparison.
@@ -84,16 +81,12 @@ type Fig12Config struct {
 	MaxStaticStates int
 }
 
-// defaultFig12Budget is the measurement window used when a config (or a
-// JSON export) does not specify one.
-const defaultFig12Budget = 200 * time.Millisecond
-
 func (c *Fig12Config) defaults() {
 	if len(c.Ns) == 0 {
 		c.Ns = []int{2, 4, 8, 16, 32, 64}
 	}
 	if c.Budget <= 0 {
-		c.Budget = defaultFig12Budget
+		c.Budget = 200 * time.Millisecond
 	}
 	if c.MaxStaticStates <= 0 {
 		c.MaxStaticStates = 1 << 16
@@ -188,110 +181,31 @@ func FormatFig12(rows []Fig12Row) string {
 	return sb.String()
 }
 
-// Fig12JSON is one machine-readable result row (the BENCH_fig12.json
-// schema): one approach × connector × N cell with its measured step
-// rate, so the performance trajectory is trackable across revisions.
-type Fig12JSON struct {
-	Approach    string  `json:"approach"`
-	Connector   string  `json:"connector"`
-	N           int     `json:"n"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	// Failed marks approaches that could not compile/connect the cell
-	// (the "existing approach fails" outcome); StepsPerSec is 0 then.
-	Failed bool `json:"failed,omitempty"`
-}
-
-// Fig12JSONRows flattens comparison rows into per-approach JSON rows.
-// budget is the measurement window each row's steps were counted in; a
-// non-positive budget falls back to the RunFig12 default (matching what
-// the sweep actually used).
-func Fig12JSONRows(rows []Fig12Row, budget time.Duration) []Fig12JSON {
-	if budget <= 0 {
-		budget = defaultFig12Budget
+// MergeBest folds repeated Fig. 12 sweeps (cmd/fig12 -reps) into
+// per-cell best rows: max steps for each approach, "old failed" only if
+// it failed every rep. Rows must align (same config per index), which
+// RunFig12 guarantees for a fixed config.
+func MergeBest(runs [][]Fig12Row) []Fig12Row {
+	if len(runs) == 0 {
+		return nil
 	}
-	secs := budget.Seconds()
-	out := make([]Fig12JSON, 0, 2*len(rows))
-	for _, r := range rows {
-		out = append(out, Fig12JSON{
-			Approach: "new", Connector: r.Connector, N: r.N,
-			StepsPerSec: float64(r.StepsNew) / secs,
-		})
-		old := Fig12JSON{Approach: "existing", Connector: r.Connector, N: r.N, Failed: r.OldFailed}
-		if !r.OldFailed {
-			old.StepsPerSec = float64(r.StepsOld) / secs
+	out := append([]Fig12Row(nil), runs[0]...)
+	for _, run := range runs[1:] {
+		for i := range out {
+			if i >= len(run) {
+				break
+			}
+			r := run[i]
+			if r.StepsNew > out[i].StepsNew {
+				out[i].StepsNew = r.StepsNew
+			}
+			if !r.OldFailed {
+				out[i].OldFailed = false
+				if r.StepsOld > out[i].StepsOld {
+					out[i].StepsOld = r.StepsOld
+				}
+			}
 		}
-		out = append(out, old)
 	}
 	return out
-}
-
-// WriteFig12JSON writes the rows to path in the BENCH_fig12.json schema.
-func WriteFig12JSON(path string, rows []Fig12Row, budget time.Duration) error {
-	return WriteJSONRows(path, Fig12JSONRows(rows, budget))
-}
-
-// WriteJSONRows writes pre-flattened fig12-schema rows to path — the
-// shared writer for sweeps that mix row producers (e.g. the fig12 sweep
-// plus the generated-backend cells of -gen).
-func WriteJSONRows(path string, rows []Fig12JSON) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Fig13Row is one NPB measurement.
-type Fig13Row struct {
-	Program string
-	Class   npb.Class
-	Variant npb.Variant
-	Slaves  int
-	// Batch is the scatter/gather batching degree the run used
-	// (npb.DefaultBatch at measurement time; 1 = the paper's structure).
-	Batch   int
-	Elapsed time.Duration
-	Steps   int64
-	Err     error
-}
-
-// RunFig13 measures one NPB configuration under the current
-// npb.DefaultBatch (stamped into the row so batched sweeps stay
-// distinguishable in the perf trajectory).
-func RunFig13(program string, class npb.Class, variant npb.Variant, slaves int) Fig13Row {
-	row := Fig13Row{Program: program, Class: class, Variant: variant, Slaves: slaves, Batch: npb.DefaultBatch}
-	prog, err := npb.ProgramByName(program)
-	if err != nil {
-		row.Err = err
-		return row
-	}
-	start := time.Now()
-	res, err := prog.Run(class, variant, slaves)
-	row.Elapsed = time.Since(start)
-	if err != nil {
-		row.Err = err
-		return row
-	}
-	row.Steps = res.Steps
-	return row
-}
-
-// FormatFig13 renders the measurement table.
-func FormatFig13(rows []Fig13Row) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-8s %-6s %-8s %4s %6s %14s %12s\n", "program", "class", "variant", "N", "batch", "time", "conn-steps")
-	for _, r := range rows {
-		batch := r.Batch
-		if batch < 1 {
-			batch = 1
-		}
-		if r.Err != nil {
-			fmt.Fprintf(&sb, "%-8s %-6s %-8s %4d %6d %14s %12s (%v)\n",
-				r.Program, r.Class, r.Variant, r.Slaves, batch, "ERROR", "-", r.Err)
-			continue
-		}
-		fmt.Fprintf(&sb, "%-8s %-6s %-8s %4d %6d %14s %12d\n",
-			r.Program, r.Class, r.Variant, r.Slaves, batch, r.Elapsed.Round(time.Microsecond), r.Steps)
-	}
-	return sb.String()
 }

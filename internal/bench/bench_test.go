@@ -1,15 +1,12 @@
 package bench_test
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/connlib"
-	"repro/internal/npb"
 )
 
 func TestStepRateMeasures(t *testing.T) {
@@ -78,56 +75,32 @@ func TestRunFig12Small(t *testing.T) {
 	}
 }
 
-func TestFig12JSONRows(t *testing.T) {
-	rows := []bench.Fig12Row{
-		{Connector: "Merger", N: 4, StepsNew: 1000, StepsOld: 500},
-		{Connector: "Big", N: 64, StepsNew: 2000, OldFailed: true},
-	}
-	js := bench.Fig12JSONRows(rows, time.Second)
-	if len(js) != 4 {
-		t.Fatalf("json rows = %d, want 4 (one per approach per cell)", len(js))
-	}
-	if js[0].Approach != "new" || js[0].Connector != "Merger" || js[0].N != 4 || js[0].StepsPerSec != 1000 {
-		t.Errorf("row 0 = %+v", js[0])
-	}
-	if js[1].Approach != "existing" || js[1].StepsPerSec != 500 || js[1].Failed {
-		t.Errorf("row 1 = %+v", js[1])
-	}
-	if !js[3].Failed || js[3].StepsPerSec != 0 {
-		t.Errorf("failed row = %+v", js[3])
-	}
-
-	path := t.TempDir() + "/BENCH_fig12.json"
-	if err := bench.WriteFig12JSON(path, rows, 500*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []bench.Fig12JSON
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("round-trip: %v\n%s", err, data)
-	}
-	if len(back) != 4 || back[0].StepsPerSec != 2000 {
-		t.Errorf("round-trip rows = %+v", back)
+// TestMergeBest folds repeated fig12 sweeps per cell.
+func TestMergeBest(t *testing.T) {
+	a := []bench.Fig12Row{{Connector: "X", N: 2, StepsNew: 10, OldFailed: true}}
+	b := []bench.Fig12Row{{Connector: "X", N: 2, StepsNew: 30, StepsOld: 5}}
+	got := bench.MergeBest([][]bench.Fig12Row{a, b})
+	if len(got) != 1 || got[0].StepsNew != 30 || got[0].StepsOld != 5 || got[0].OldFailed {
+		t.Errorf("merged = %+v, want best-of with old success kept", got)
 	}
 }
 
-func TestRunFig13Row(t *testing.T) {
-	row := bench.RunFig13("EP", npb.ClassS, npb.Reo, 2)
-	if row.Err != nil {
-		t.Fatal(row.Err)
+// TestRunBatchThroughput: the batched pipeline measures, and batching
+// does not change the firing structure — same items, same global steps,
+// whatever the batch degree.
+func TestRunBatchThroughput(t *testing.T) {
+	var steps []int64
+	for _, batch := range []int{1, 4} {
+		res, err := bench.RunBatchThroughput(2, 512, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps == 0 || res.ItemsPerSec() <= 0 {
+			t.Fatalf("batch=%d: empty measurement %+v", batch, res)
+		}
+		steps = append(steps, res.Steps)
 	}
-	if row.Elapsed <= 0 || row.Steps == 0 {
-		t.Errorf("row = %+v", row)
-	}
-	out := bench.FormatFig13([]bench.Fig13Row{row})
-	if !strings.Contains(out, "EP") {
-		t.Errorf("format: %s", out)
-	}
-	bad := bench.RunFig13("NOPE", npb.ClassS, npb.Orig, 2)
-	if bad.Err == nil {
-		t.Error("unknown program accepted")
+	if steps[0] != steps[1] {
+		t.Errorf("steps differ across batch sizes: %d vs %d", steps[0], steps[1])
 	}
 }

@@ -1,5 +1,5 @@
-// Package bench is the shared harness for the paper's experiments:
-// time-budgeted connector runs counting global execution steps (Fig. 12)
-// and wall-clock NPB runs (Fig. 13), with the table/classification
-// formatting used by cmd/fig12 and cmd/fig13.
+// Package bench is the shared harness for the paper's Fig. 12:
+// time-budgeted connector runs counting global execution steps, with the
+// table/classification formatting used by cmd/fig12, plus the batched
+// Fifo1 pipeline behind BenchmarkBatchedThroughput and examples/pipeline.
 package bench

@@ -196,8 +196,10 @@ type Outcome struct {
 // RunCfg tunes the driver for the lane's scheduling model.
 type RunCfg struct {
 	// Async marks lanes whose firing happens off the caller goroutines
-	// (WithWorkers / WithRuntime): fixpoint detection then needs a
-	// wall-clock quiet window on top of counter stability.
+	// (WithWorkers / WithRuntime): fixpoint detection then needs a 30 ms
+	// wall-clock quiet window on top of counter stability. On the other
+	// lanes only an op goroutine can fire: the fixpoint is immediate once
+	// every launched op has returned, and otherwise needs 1 ms of quiet.
 	Async bool
 	// CloseFn overrides Backend.Close (reo instances recycle through
 	// Instance.Close rather than the coordinator's).
@@ -249,10 +251,21 @@ func RunSchedule(b Backend, s *Schedule, cfg RunCfg) (*Outcome, error) {
 				stable++
 			}
 			if stable >= stablePolls {
-				if !cfg.Async || time.Since(quietSince) > 30*time.Millisecond {
+				window, nap := 30*time.Millisecond, time.Millisecond
+				if !cfg.Async {
+					if dNow == len(states) {
+						return
+					}
+					// Gosched re-runs this goroutine from the global queue
+					// before it would steal an op goroutine queued on another
+					// P, so an op that is runnable but not running looks
+					// quiet; sleeping idles this P, which then steals it.
+					window, nap = time.Millisecond, 100*time.Microsecond
+				}
+				if time.Since(quietSince) > window {
 					return
 				}
-				time.Sleep(time.Millisecond)
+				time.Sleep(nap)
 			}
 			if time.Now().After(deadline) {
 				return

@@ -9,13 +9,17 @@ package explore
 // silently degenerate.
 
 // FailsFn reports whether a (connector, schedule) pair still exhibits
-// the failure being minimized. It must be deterministic.
+// the failure being minimized. On the timing-dependent lanes one run can
+// fail for a reason other than the one being minimized, so Shrink keeps
+// a reduction only when it fails shrinkRuns times in a row.
 type FailsFn func(*BuiltConn, *Schedule) bool
 
-// ShrinkBudget bounds how many candidate evaluations one Shrink call
-// may spend (each evaluation runs the lane matrix, so this is the
-// expensive knob).
+// ShrinkBudget bounds how many FailsFn runs one Shrink call may spend
+// (each run drives the lane matrix, so this is the expensive knob).
 const ShrinkBudget = 160
+
+// shrinkRuns is how many consecutive failing runs accept a reduction.
+const shrinkRuns = 3
 
 // Shrink minimizes a failing pair: it repeatedly tries dropping
 // primitives, stripping structural decorations (prod wraps, if wraps),
@@ -26,24 +30,23 @@ const ShrinkBudget = 160
 func Shrink(bc *BuiltConn, s *Schedule, fails FailsFn) (*BuiltConn, *Schedule) {
 	budget := ShrinkBudget
 	try := func(c *Conn, cand *Schedule) (*BuiltConn, bool) {
-		if budget <= 0 {
-			return nil, false
-		}
-		budget--
-		if c == nil {
-			if fails(bc, cand) {
-				return bc, true
+		nb := bc
+		if c != nil {
+			var err error
+			if nb, err = CompileConn(c); err != nil {
+				return nil, false
 			}
-			return nil, false
 		}
-		nb, err := CompileConn(c)
-		if err != nil {
-			return nil, false
+		for k := 0; k < shrinkRuns; k++ {
+			if budget <= 0 {
+				return nil, false
+			}
+			budget--
+			if !fails(nb, cand) {
+				return nil, false
+			}
 		}
-		if fails(nb, cand) {
-			return nb, true
-		}
-		return nil, false
+		return nb, true
 	}
 
 	for budget > 0 {
