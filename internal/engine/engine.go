@@ -174,7 +174,7 @@ type Engine struct {
 	outNudges []*Engine
 	// outSignals collects the half links (transport.go) whose queue
 	// state this engine's fires changed; flushed (with mu held, after
-	// fireLoop publishes its commits) as coalescing pump wake-ups.
+	// fireLoop publishes its commits) as coalescing peer wake-ups.
 	outSignals []*link
 	group      *regionGroup
 

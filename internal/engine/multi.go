@@ -247,8 +247,8 @@ func (m *Multi) Close() error {
 		}
 	}
 	if m.transport != nil {
-		// After the engines: pumps observing closed engines drain and
-		// exit, and the peers get the Close frame last.
+		// After the engines: the writers send what is left, and the
+		// peers get the Close frame last.
 		m.transport.Close()
 	}
 	return nil

@@ -51,15 +51,15 @@ type link struct {
 	// src/dst are the producer/consumer region engines. Either may be
 	// nil: the link is then a *half link* of a distributed cut (see
 	// transport.go) whose far side lives in another process, serviced by
-	// a transport pump instead of a sibling engine.
+	// a TCP peer's outbound path instead of a sibling engine.
 	src, dst         *Engine
 	srcPort, dstPort ca.PortID
 
-	// signal, when non-nil, is the transport pump's one-slot coalescing
-	// wake-up for a half link: raised (non-blocking) after the local
-	// engine publishes commits the pump must observe — fresh pushes on a
-	// producer-local half, fresh pops on a consumer-local half.
-	signal chan struct{}
+	// signal, when non-nil, is the peer servicing a half link: raised
+	// (non-blocking) after the local engine publishes commits its
+	// outbound path must send — fresh pushes on a producer-local half,
+	// fresh pops on a consumer-local half.
+	signal *tcpPeer
 }
 
 func newLink(capacity int) *link {
@@ -367,7 +367,7 @@ func (e *Engine) fireLinkPort(p ca.PortID, deferred bool) {
 		if l.src != nil {
 			e.noteNudge(l.src)
 		} else {
-			e.noteSignal(l) // remote producer: signal the ack pump
+			e.noteSignal(l) // remote producer: the peer sends the ack
 		}
 	} else if o := e.pend[p]; o != nil && o.send {
 		v = o.vals[o.cur]
@@ -381,7 +381,7 @@ func (e *Engine) fireLinkPort(p ca.PortID, deferred bool) {
 		if l.dst != nil {
 			e.noteNudge(l.dst)
 		} else {
-			e.noteSignal(l) // remote consumer: signal the send pump
+			e.noteSignal(l) // remote consumer: the peer sends the data
 		}
 	}
 	if !deferred {
@@ -648,10 +648,9 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 			return nil, err
 		}
 	}
-	// Connect the transport before any region fires: pumps must exist
-	// before a settle pass raises their signals. (The one-slot signal
-	// buffer would also hold one early raise, but a blocking network
-	// start after settle could not surface dial errors to the caller.)
+	// Connect the transport before any region fires: a settle pass
+	// raises the half links' signals, which Start attaches to the peers,
+	// and a dial error must reach the caller before anything runs.
 	if err := tr.Start(m); err != nil {
 		m.Close()
 		return nil, fmt.Errorf("engine: transport: %w", err)

@@ -2,11 +2,15 @@ package engine
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/ca"
@@ -18,25 +22,33 @@ import (
 // maps the in-process link protocol 1:1 onto the wire:
 //
 //   - A producer-local half link is a *mirror* of the planned queue. The
-//     region engine pushes into it exactly as in-process; the send pump
-//     transmits every committed value as a Data frame but does NOT pop —
-//     slots are freed only when the peer's Ack arrives. The mirror's
-//     occupancy is therefore the end-to-end in-flight count, so the
-//     producer region observes precisely the planned capacity: no hidden
-//     buffering, and the connector's choice behavior (which fires are
-//     enabled when) matches the single-process run bit for bit.
+//     region engine pushes into it exactly as in-process; the peer's
+//     outbound path transmits every committed value as Data but does NOT
+//     pop — slots are freed only when the peer's Ack arrives. The
+//     mirror's occupancy is therefore the end-to-end in-flight count, so
+//     the producer region observes precisely the planned capacity: no
+//     hidden buffering, and the connector's choice behavior (which fires
+//     are enabled when) matches the single-process run bit for bit.
 //
 //   - A consumer-local half link is the real queue. The connection
 //     reader pushes arriving bursts (the credit invariant above
-//     guarantees space); the region engine pops as in-process; the ack
-//     pump watches the head and reports cumulative pops, retiring the
+//     guarantees space); the region engine pops as in-process; the
+//     outbound path reports cumulative pops as Acks, retiring the
 //     producer's mirror slots.
 //
 // All sequence numbers are absolute value counts from the start of the
 // run, Fifo1Full seeds included; the seed itself is pre-loaded on both
-// sides and never transmitted. One committed burst becomes one frame,
-// so a remote link costs one (coalesced) syscall per burst, not per
-// item — the same amortization the in-process deferred commits buy.
+// sides and never transmitted.
+//
+// Each peer has one outbound path: a mutex-guarded scan of every half
+// link shared with the peer that encodes what is ready into one byte
+// queue. Two goroutines per peer drain it. The connection reader, once
+// it has applied every whole frame it holds, sends what its own fires
+// made ready with one non-blocking write — on the steady round trip no
+// other goroutine wakes. The writer takes what the socket did not
+// accept, every wake raised by a task goroutine or a runtime worker,
+// and the control frames (Error, Close), and writes blocking, outside
+// the mutex.
 
 // TCPConfig wires one node of a distributed region plan.
 type TCPConfig struct {
@@ -60,44 +72,68 @@ type TCPConfig struct {
 	DialTimeout time.Duration
 }
 
-// tcpPeer is one connected neighbor node: a conn, its writer queue, the
-// writer goroutine draining the queue through a buffered writer that
-// flushes on empty — frames enqueued back-to-back coalesce into one
-// syscall — and the aggregated pump state servicing every half link
-// shared with this peer. dataLinks/ackLinks and the two signal channels
-// are assigned in Start before any goroutine launches and are read-only
-// afterwards.
+// tcpPeer is one connected neighbor node: its conn and its outbound
+// path. dataLinks, ackLinks, raw and rawWrite are assigned in Start
+// before any goroutine launches and are read-only afterwards.
 type tcpPeer struct {
 	name string
 	conn net.Conn
-	out  chan *wire.Frame
 	// dataLinks are the producer-local halves whose committed values this
-	// peer consumes; one send pump services them all, multiplexing
-	// concurrent bursts into DataBatch frames. ackLinks are the
-	// consumer-local halves whose pops this peer's mirrors wait on; one
-	// ack pump coalesces their head advances into AckBatch frames.
+	// peer consumes; concurrent bursts of several of them multiplex into
+	// DataBatch frames. ackLinks are the consumer-local halves whose pops
+	// this peer's mirrors wait on; their head advances coalesce into
+	// AckBatch frames.
 	dataLinks []*tcpLink
 	ackLinks  []*tcpLink
-	// dataSig/ackSig are the shared one-slot coalescing wake-ups the
-	// engines raise (via link.signal) when a serviced link's counters
-	// move: one channel per pump, not per link, so a pump wake rescans
-	// every link it services and batches whatever accumulated.
-	dataSig chan struct{}
-	ackSig  chan struct{}
+	// raw is the socket under conn, nil when conn is not a syscall.Conn:
+	// the reader then sends nothing itself. rawWrite, bound once, is the
+	// non-blocking write(2) of q it hands to raw.Write.
+	raw      syscall.RawConn
+	rawWrite func(fd uintptr) bool
+	rawN     int
+	rawErr   error
+	// inline is set while the reader applies frames it will answer
+	// itself; raise then leaves the writer asleep (see sendInline).
+	inline atomic.Bool
+	// wake is the writer's one-slot coalescing wake-up.
+	wake chan struct{}
+
+	// mu guards the outbound state below and the links' sent/ackSent.
+	mu sync.Mutex
+	// f is the scratch frame collect encodes from.
+	f wire.Frame
+	// q holds encoded bytes no write has taken yet, in wire order.
+	q outQueue
+	// busy is set while the writer writes bytes it took from q outside
+	// mu; nothing else writes then, so bytes never reorder.
+	busy bool
+	// closing asks the writer for its last flush and the Close frame.
+	// dead means no byte will be written any more: the Close frame is
+	// out, or the outbound path failed.
+	closing, dead bool
 }
 
-// tcpLink is one half link: the local queue endpoint plus the pump
-// state servicing its remote side.
+// outQueue is an io.Writer appending to a byte slice, so wire.WriteFrame
+// encodes straight into a peer's queue.
+type outQueue []byte
+
+func (q *outQueue) Write(b []byte) (int, error) {
+	*q = append(*q, b...)
+	return len(b), nil
+}
+
+// tcpLink is one half link: the local queue endpoint plus the counters
+// of what the peer has been told about it.
 type tcpLink struct {
 	li   int
 	spec ca.RegionLink
 	l    *link
 	peer string
-	// prodLocal: the local engine produces; the link is the sender
-	// mirror and the pump transmits Data (sent = absolute count
-	// transmitted). Otherwise the local engine consumes; the link is
-	// the real queue and the pump transmits Acks (ackSent = last
-	// cumulative pop count reported).
+	// prodLocal: the local engine produces; the link is the sender mirror
+	// and the outbound path transmits Data (sent = absolute count
+	// transmitted). Otherwise the local engine consumes; the link is the
+	// real queue and the outbound path transmits Acks (ackSent = last
+	// cumulative pop count reported). Both are guarded by the peer's mu.
 	prodLocal bool
 	sent      int64
 	ackSent   int64
@@ -119,7 +155,6 @@ type TCPTransport struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	failOnce  sync.Once
-	pumpWG    sync.WaitGroup
 	writerWG  sync.WaitGroup
 	readerWG  sync.WaitGroup
 }
@@ -139,7 +174,7 @@ func NewTCPTransport(cfg TCPConfig) *TCPTransport {
 }
 
 // Bind implements Transport. Both-local links get a plain shared queue;
-// cut links get a seeded half link plus pump state for Start to launch.
+// cut links get a seeded half link that Start attaches to its peer.
 func (t *TCPTransport) Bind(li int, spec ca.RegionLink, prodLocal, consLocal bool) (*link, *link, error) {
 	if prodLocal && consLocal {
 		l := newLink(spec.Capacity)
@@ -151,11 +186,8 @@ func (t *TCPTransport) Bind(li int, spec ca.RegionLink, prodLocal, consLocal boo
 	}
 	l := newLink(spec.Capacity)
 	seedLink(l, spec)
-	// The signal is a placeholder until Start: once the peers are known,
-	// every half link sharing a peer-direction is rewired to that pump's
-	// shared channel (no engine fires before Start returns, so the swap
-	// is unobserved).
-	l.signal = make(chan struct{}, 1)
+	// The signal stays nil until Start knows the peers; no engine fires
+	// before Start returns.
 	tl := &tcpLink{li: li, spec: spec, l: l, prodLocal: prodLocal}
 	// The absolute counters start past the seed: it is pre-loaded on
 	// both sides and never crosses the wire.
@@ -181,7 +213,7 @@ func (t *TCPTransport) Bind(li int, spec ca.RegionLink, prodLocal, consLocal boo
 
 // Start implements Transport: listen, connect every peer (smaller node
 // name dials, with capped-backoff retry; both directions handshake),
-// then launch the per-peer reader/writer and per-link pump goroutines.
+// then launch each peer's reader and writer goroutines.
 func (t *TCPTransport) Start(m *Multi) error {
 	t.m = m
 	if len(t.half) == 0 {
@@ -236,44 +268,39 @@ func (t *TCPTransport) Start(m *Multi) error {
 	// too, not just the local siblings.
 	m.group.onBreak = func(err error) {
 		for _, p := range t.peers {
-			t.send(p, &wire.Frame{Type: wire.FrameError, Err: err.Error()})
+			p.mu.Lock()
+			if !p.dead {
+				wire.WriteFrame(&p.q, &wire.Frame{Type: wire.FrameError, Err: err.Error()})
+			}
+			p.mu.Unlock()
+			p.wakeWriter()
 		}
 	}
 
-	// Group the half links by peer and rewire their signals to the
-	// per-peer pump channels — one send pump and one ack pump per peer,
-	// no matter how many links it shares with us. Must happen before any
-	// reader launches: a reader's pumpNudge can fire an engine, whose
-	// flushSignals must raise the pump channel, not the Bind placeholder.
+	// Attach every half link to its peer's outbound path, and the peer
+	// to its socket. Must happen before any reader launches: a reader's
+	// pumpNudge can fire an engine, whose flushSignals raises link.signal.
 	for _, tl := range t.half {
 		p := t.peers[tl.peer]
+		tl.l.signal = p
 		if tl.prodLocal {
-			if p.dataSig == nil {
-				p.dataSig = make(chan struct{}, 1)
-			}
-			tl.l.signal = p.dataSig
 			p.dataLinks = append(p.dataLinks, tl)
 		} else {
-			if p.ackSig == nil {
-				p.ackSig = make(chan struct{}, 1)
-			}
-			tl.l.signal = p.ackSig
 			p.ackLinks = append(p.ackLinks, tl)
 		}
 	}
 	for _, p := range t.peers {
+		// Windows sockets are not non-blocking descriptors: there the
+		// writer sends everything.
+		if sc, ok := p.conn.(syscall.Conn); ok && runtime.GOOS != "windows" {
+			if raw, err := sc.SyscallConn(); err == nil {
+				p.raw, p.rawWrite = raw, p.writeRaw
+			}
+		}
 		t.writerWG.Add(1)
 		go t.writer(p)
 		t.readerWG.Add(1)
 		go t.reader(p)
-		if len(p.dataLinks) > 0 {
-			t.pumpWG.Add(1)
-			go t.sendPump(p)
-		}
-		if len(p.ackLinks) > 0 {
-			t.pumpWG.Add(1)
-			go t.ackPump(p)
-		}
 	}
 	return nil
 }
@@ -408,7 +435,7 @@ func (t *TCPTransport) handshake(conn net.Conn, expect string, dialer bool) erro
 	if _, dup := t.peers[peerName]; dup {
 		return fmt.Errorf("engine: duplicate connection from %q", peerName)
 	}
-	t.peers[peerName] = &tcpPeer{name: peerName, conn: conn, out: make(chan *wire.Frame, 64)}
+	t.peers[peerName] = &tcpPeer{name: peerName, conn: conn, wake: make(chan struct{}, 1)}
 	return nil
 }
 
@@ -421,63 +448,248 @@ func (t *TCPTransport) teardownConns() {
 	}
 }
 
-// send enqueues f to p's writer; never blocks past transport shutdown.
-func (t *TCPTransport) send(p *tcpPeer, f *wire.Frame) {
-	select {
-	case p.out <- f:
-	case <-t.closed:
+// raise is link.signal: an engine published commits on a half link this
+// peer services. While the reader is in an inline window it will scan
+// before it reads again, so the writer stays asleep; otherwise the writer
+// wakes. Lock-free, so engines may raise it with their lock held.
+func (p *tcpPeer) raise() {
+	if !p.inline.Load() {
+		p.wakeWriter()
 	}
 }
 
-// writer drains p.out through a buffered writer, flushing whenever the
-// queue runs empty — consecutive bursts coalesce into one syscall. A
-// write error marks the peer dead but keeps the loop draining so pumps
-// never block; the loop exits only on the FrameClose sentinel Close
-// enqueues after the pumps are joined.
-func (t *TCPTransport) writer(p *tcpPeer) {
-	defer t.writerWG.Done()
-	bw := bufio.NewWriterSize(p.conn, 64<<10)
-	dead := false
-	for f := range p.out {
-		if f.Type == wire.FrameClose {
-			if !dead {
-				wire.WriteFrame(bw, f)
-				bw.Flush()
-			}
-			return
-		}
-		if dead {
-			wire.PutFrame(f)
+func (p *tcpPeer) wakeWriter() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// collect encodes into q what the serviced links made ready since the
+// last scan: the fresh values of every mirror as one Data or DataBatch
+// frame, then the fresh pops of every queue as one Ack or AckBatch
+// frame. Called with mu held. Frames reuse the scratch frame, so the
+// steady-state scan is allocation-free.
+func (p *tcpPeer) collect() error {
+	if p.dead {
+		return nil
+	}
+	f := &p.f
+	for _, tl := range p.dataLinks {
+		l := tl.l
+		tail := l.tail.Load()
+		if tail == tl.sent {
 			continue
 		}
-		err := wire.WriteFrame(bw, f)
-		wire.PutFrame(f)
-		if err != nil {
-			dead = true
-			t.fail(fmt.Errorf("write to %q: %w", p.name, err))
+		b := f.NextBurst(uint32(tl.li), uint64(tl.sent))
+		size := int64(len(l.buf))
+		for i := tl.sent; i < tail; i++ {
+			b.Vals = append(b.Vals, l.buf[i%size])
+		}
+		tl.sent = tail
+	}
+	err := p.encodeData()
+	f.Reset()
+	if err != nil {
+		return err
+	}
+	for _, tl := range p.ackLinks {
+		head := tl.l.head.Load()
+		if head == tl.ackSent {
 			continue
 		}
-		if len(p.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-				t.fail(fmt.Errorf("flush to %q: %w", p.name, err))
-			}
+		f.Acks = append(f.Acks, wire.Ack{Link: uint32(tl.li), Seq: uint64(head)})
+		tl.ackSent = head
+	}
+	switch len(f.Acks) {
+	case 0:
+		return nil
+	case 1:
+		f.Type, f.Link, f.Seq = wire.FrameAck, f.Acks[0].Link, f.Acks[0].Seq
+		f.Acks = f.Acks[:0]
+	default:
+		f.Type = wire.FrameAckBatch
+	}
+	err = wire.WriteFrame(&p.q, f)
+	f.Reset()
+	return err
+}
+
+// encodeData encodes the bursts collect staged in f. One burst keeps the
+// Data shape: the header carries link and seq, saving the batch framing
+// bytes on the RTT-bound single-link path. Several multiplex into one
+// DataBatch frame — unless their sum passes the frame limit, which legal
+// bursts can; each then goes out as its own Data frame.
+func (p *tcpPeer) encodeData() error {
+	f := &p.f
+	switch len(f.Bursts) {
+	case 0:
+		return nil
+	case 1:
+		b := &f.Bursts[0]
+		f.Type, f.Link, f.Seq = wire.FrameData, b.Link, b.Seq
+		f.Vals, b.Vals = b.Vals, f.Vals
+		f.Bursts = f.Bursts[:0]
+		return wire.WriteFrame(&p.q, f)
+	}
+	f.Type = wire.FrameDataBatch
+	if wire.WriteFrame(&p.q, f) == nil {
+		return nil
+	}
+	for i := range f.Bursts {
+		b := &f.Bursts[i]
+		one := wire.Frame{Type: wire.FrameData, Link: b.Link, Seq: b.Seq, Vals: b.Vals}
+		if err := wire.WriteFrame(&p.q, &one); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// writeRaw is rawWrite: one write(2) of q on the non-blocking socket. It
+// never waits for the socket to drain — what it does not take is the
+// writer's.
+func (p *tcpPeer) writeRaw(fd uintptr) bool {
+	p.rawN, p.rawErr = writeFD(syscall.Write, fd, p.q)
+	return true
+}
+
+// writeFD adapts the descriptor type of the platform's syscall.Write.
+func writeFD[FD ~int | ~uintptr](write func(FD, []byte) (int, error), fd uintptr, b []byte) (int, error) {
+	return write(FD(fd), b)
+}
+
+// sendNow collects, then writes what q holds with one non-blocking write
+// unless the writer is mid-write. Called with mu held.
+func (p *tcpPeer) sendNow() error {
+	if err := p.collect(); err != nil {
+		return err
+	}
+	if p.busy || p.dead || len(p.q) == 0 {
+		return nil
+	}
+	if err := p.raw.Write(p.rawWrite); err != nil {
+		return err
+	}
+	n, err := p.rawN, p.rawErr
+	if err == syscall.EAGAIN || err == syscall.EINTR {
+		n, err = 0, nil
+	}
+	if err != nil {
+		return err
+	}
+	p.q = p.q[:copy(p.q, p.q[n:])]
+	return nil
+}
+
+// sendInline closes the reader's inline window: it sends what the frames
+// just applied made ready, clears inline, then rescans once — more may
+// have been published during the write, and a raise that found inline
+// set left it to this scan. Bytes the socket did not take go to the
+// writer.
+func (t *TCPTransport) sendInline(p *tcpPeer) {
+	p.mu.Lock()
+	err := p.sendNow()
+	p.inline.Store(false)
+	if err == nil {
+		err = p.sendNow()
+	}
+	left := len(p.q) > 0 && !p.busy
+	p.mu.Unlock()
+	if err != nil {
+		t.failOut(p, fmt.Errorf("write to %q: %w", p.name, err))
+		return
+	}
+	if left {
+		p.wakeWriter()
+	}
+}
+
+// writer sends what nobody else did: on every wake it collects, takes
+// the whole queue and writes it blocking, outside mu. On closing it
+// sends what is left and the Close frame, and exits.
+func (t *TCPTransport) writer(p *tcpPeer) {
+	defer t.writerWG.Done()
+	var out outQueue // the writer's half of a double buffer with q
+	for {
+		p.mu.Lock()
+		err := p.collect()
+		last := p.closing
+		if err == nil && last && !p.dead {
+			err = wire.WriteFrame(&p.q, &wire.Frame{Type: wire.FrameClose})
+		}
+		if err != nil || p.dead || len(p.q) == 0 {
+			p.mu.Unlock()
+			if err != nil {
+				t.failOut(p, fmt.Errorf("write to %q: %w", p.name, err))
+			}
+			if last {
+				return
+			}
+			<-p.wake
+			continue
+		}
+		out, p.q = p.q, out[:0]
+		p.busy = true
+		p.dead = last
+		p.mu.Unlock()
+		_, err = p.conn.Write(out)
+		p.mu.Lock()
+		p.busy = false
+		p.mu.Unlock()
+		if err != nil {
+			t.failOut(p, fmt.Errorf("write to %q: %w", p.name, err))
+		}
+		if last {
+			return
+		}
+	}
+}
+
+// failOut handles every outbound failure: no further byte goes out, and
+// the conn closes so the peer's reader breaks its regions too (an Error
+// frame could not get through). The local regions break with
+// ErrLinkBroken. Called without mu held.
+func (t *TCPTransport) failOut(p *tcpPeer, err error) {
+	p.mu.Lock()
+	p.dead = true
+	p.q = p.q[:0]
+	p.mu.Unlock()
+	p.conn.Close()
+	t.fail(err)
+}
+
+// frameBuffered reports whether br holds a whole frame, so that reading
+// it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4)
+	return n-4 >= int(binary.BigEndian.Uint32(prefix))
 }
 
 // reader dispatches inbound frames. Data and Ack (single or batched)
 // drive the half links directly — pushing/retiring slots under the SPSC
 // discipline the far engine would — and wake the local engine via
-// pumpNudge. The loop decodes into one reused frame and scratch buffer,
-// so at steady state it allocates only what the payload values require.
+// pumpNudge. Before a read that may block, it answers what the applied
+// frames made ready (sendInline). The loop decodes into one reused frame
+// and scratch buffer, so at steady state it allocates only what the
+// payload values require.
 func (t *TCPTransport) reader(p *tcpPeer) {
 	defer t.readerWG.Done()
+	defer p.inline.Store(false)
 	br := bufio.NewReaderSize(p.conn, 64<<10)
 	f := wire.GetFrame()
 	defer wire.PutFrame(f)
 	var scratch []byte
+	inline := false
 	for {
+		if inline && !frameBuffered(br) {
+			t.sendInline(p)
+			inline = false
+		}
 		if err := wire.ReadFrameInto(br, f, &scratch); err != nil {
 			select {
 			case <-t.closed:
@@ -486,6 +698,10 @@ func (t *TCPTransport) reader(p *tcpPeer) {
 				t.fail(fmt.Errorf("read from %q: %w", p.name, err))
 			}
 			return
+		}
+		if p.raw != nil && !inline {
+			p.inline.Store(true)
+			inline = true
 		}
 		switch f.Type {
 		case wire.FrameData:
@@ -510,9 +726,12 @@ func (t *TCPTransport) reader(p *tcpPeer) {
 				}
 			}
 		case wire.FrameClose:
-			// Orderly peer shutdown: close the whole coordinator. Must
-			// run off this goroutine — Close joins the readers.
-			go t.m.Close()
+			// Orderly peer shutdown: close the local regions, failing
+			// their operations with ErrClosed. The owner's Close tears
+			// the transport down.
+			for _, e := range t.m.live() {
+				e.Close()
+			}
 			return
 		case wire.FrameError:
 			t.breakLocal(fmt.Errorf("node %q: %s: %w", p.name, f.Err, ErrLinkBroken))
@@ -577,94 +796,6 @@ func (t *TCPTransport) applyAck(p *tcpPeer, link uint32, seq uint64) bool {
 	return true
 }
 
-// sendPump transmits the committed contents of every producer-local
-// mirror the peer consumes: on each wake it scans all of them and moves
-// every value between the last transmitted index and the published tail.
-// One pending link goes out as a classic Data frame; concurrent bursts
-// of several links multiplex into a single DataBatch frame — one frame,
-// one syscall, no matter how many links woke together. Slots are NOT
-// freed — the peer's Ack does that — so the engine sees exactly the
-// planned capacity end to end. Frames and their value slices come from
-// the wire pool and return to it after the writer flushes them, so the
-// steady-state pump is allocation-free.
-func (t *TCPTransport) sendPump(p *tcpPeer) {
-	defer t.pumpWG.Done()
-	for {
-		f := wire.GetFrame()
-		for _, tl := range p.dataLinks {
-			l := tl.l
-			tail := l.tail.Load()
-			if tail == tl.sent {
-				continue
-			}
-			b := f.NextBurst(uint32(tl.li), uint64(tl.sent))
-			size := int64(len(l.buf))
-			for i := tl.sent; i < tail; i++ {
-				b.Vals = append(b.Vals, l.buf[i%size])
-			}
-			tl.sent = tail
-		}
-		switch len(f.Bursts) {
-		case 0:
-			wire.PutFrame(f)
-			select {
-			case <-p.dataSig:
-			case <-t.closed:
-				return
-			}
-		case 1:
-			// A single link's burst keeps the v1 Data shape: the header
-			// carries link and seq, saving the batch framing bytes on the
-			// (RTT-bound) single-link path.
-			b := &f.Bursts[0]
-			f.Type, f.Link, f.Seq = wire.FrameData, b.Link, b.Seq
-			f.Vals, b.Vals = b.Vals, f.Vals
-			f.Bursts = f.Bursts[:0]
-			t.send(p, f)
-		default:
-			f.Type = wire.FrameDataBatch
-			t.send(p, f)
-		}
-	}
-}
-
-// ackPump reports the pops of every consumer-local queue the peer
-// produces into: on each wake it scans all of them, and every head that
-// advanced past its last report joins one cumulative ack — a single Ack
-// frame when one link moved, one coalesced AckBatch frame when several
-// did. Each entry retires every in-flight burst up to its seq on the
-// producer node.
-func (t *TCPTransport) ackPump(p *tcpPeer) {
-	defer t.pumpWG.Done()
-	for {
-		f := wire.GetFrame()
-		for _, tl := range p.ackLinks {
-			head := tl.l.head.Load()
-			if head == tl.ackSent {
-				continue
-			}
-			f.Acks = append(f.Acks, wire.Ack{Link: uint32(tl.li), Seq: uint64(head)})
-			tl.ackSent = head
-		}
-		switch len(f.Acks) {
-		case 0:
-			wire.PutFrame(f)
-			select {
-			case <-p.ackSig:
-			case <-t.closed:
-				return
-			}
-		case 1:
-			f.Type, f.Link, f.Seq = wire.FrameAck, f.Acks[0].Link, f.Acks[0].Seq
-			f.Acks = f.Acks[:0]
-			t.send(p, f)
-		default:
-			f.Type = wire.FrameAckBatch
-			t.send(p, f)
-		}
-	}
-}
-
 // fail reports a transport failure exactly once: the local regions
 // break with ErrLinkBroken (pending operations fail), and break
 // propagation notifies the peers via onBreak.
@@ -682,16 +813,15 @@ func (t *TCPTransport) breakLocal(err error) {
 
 // Close implements Transport: announce an orderly shutdown to every
 // peer and join all goroutines. Called by Multi.Close after the local
-// engines are closed, so the pumps have nothing more to move.
+// engines are closed, so the writers' last scans find little to move.
 func (t *TCPTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.closed)
-		t.pumpWG.Wait()
 		for _, p := range t.peers {
-			// Direct send (not t.send — closed is already closed): the
-			// pumps are joined, so the writer is the only other party on
-			// the channel and it always drains to the sentinel.
-			p.out <- &wire.Frame{Type: wire.FrameClose}
+			p.mu.Lock()
+			p.closing = true
+			p.mu.Unlock()
+			p.wakeWriter()
 		}
 		t.writerWG.Wait()
 		for _, p := range t.peers {
@@ -700,6 +830,11 @@ func (t *TCPTransport) Close() error {
 		t.readerWG.Wait()
 		if t.ln != nil {
 			t.ln.Close()
+		}
+		if t.m != nil {
+			// A break may still be propagating to the peers; the engines
+			// are closed, so no new one starts.
+			t.m.group.breakWG.Wait()
 		}
 	})
 	return nil

@@ -17,12 +17,12 @@ import (
 // A half link is an ordinary *link whose far-side engine pointer is nil:
 // the engine keeps pushing/popping it under its own lock exactly as
 // in-process, and where it would nudge the missing neighbor it raises
-// the link's signal instead (fireLinks/fireLinksGen), waking the
-// transport pump that services the queue. The pump side of a half link
-// obeys the same SPSC discipline the two engines would: on a
-// producer-local half the engine is the only pusher and the transport
-// the only popper; on a consumer-local half the transport is the only
-// pusher and the engine the only popper.
+// the link's signal instead (fireLinks), waking the peer's outbound path
+// that services the queue. The transport side of a half link obeys the
+// same SPSC discipline the two engines would: on a producer-local half
+// the engine is the only pusher and the transport the only popper; on a
+// consumer-local half the transport is the only pusher and the engine
+// the only popper.
 
 // ErrLinkBroken reports that a distributed region link failed — the peer
 // connection dropped, a frame arrived out of sequence, or the remote
@@ -33,7 +33,7 @@ var ErrLinkBroken = errors.New("engine: remote region link broken")
 // Transport backs the links of one region-partitioned coordinator.
 // Bind is called once per planned link during construction; Start once
 // after every local region engine is built (network transports connect
-// their peers and launch pump goroutines there); Close once from
+// their peers and launch their goroutines there); Close once from
 // Multi.Close, after the local engines are closed.
 type Transport interface {
 	// Bind allocates the queue(s) behind planned link li. prodLocal and
@@ -50,7 +50,7 @@ type Transport interface {
 	// block on traffic, but may block while connecting peers.
 	Start(m *Multi) error
 	// Close tears the transport down: peers are notified, connections
-	// closed, pump goroutines joined. Called after the local engines are
+	// closed, goroutines joined. Called after the local engines are
 	// closed; idempotent.
 	Close() error
 }
@@ -91,43 +91,39 @@ func seedLink(l *link, spec ca.RegionLink) {
 }
 
 // noteSignal records that a fire changed the queue state of half link l,
-// whose far side is serviced by a transport pump rather than a sibling
-// engine; the pump must be signaled once this engine's commits are
-// published. Called with mu held; deduplicated like outNudges.
+// whose far side is serviced by a peer's outbound path rather than a
+// sibling engine; the path must be signaled once this engine's commits
+// are published. Called with mu held; deduplicated per peer.
 func (e *Engine) noteSignal(l *link) {
 	if l.signal == nil {
 		return
 	}
 	for _, x := range e.outSignals {
-		if x == l {
+		if x.signal == l.signal {
 			return
 		}
 	}
 	e.outSignals = append(e.outSignals, l)
 }
 
-// flushSignals raises the pump signal of every half link this engine's
-// fires touched. Called with mu held, after fireLoop returned — every
-// deferred commit is published by then, so a woken pump always observes
-// the queue state that prompted the signal. The signal channel is a
-// one-slot coalescing buffer: the non-blocking send never stalls the
-// engine, and a pump that missed intermediate raises re-checks the
-// counters anyway.
+// flushSignals raises the signal of every peer whose half links this
+// engine's fires touched. Called with mu held, after fireLoop returned —
+// every deferred commit is published by then, so the outbound scan a
+// raise leads to always observes the queue state that prompted it. A
+// raise never blocks the engine, and a scan that missed intermediate
+// raises re-checks the counters anyway.
 func (e *Engine) flushSignals() {
 	for i, l := range e.outSignals {
-		select {
-		case l.signal <- struct{}{}:
-		default:
-		}
+		l.signal.raise()
 		e.outSignals[i] = nil
 	}
 	e.outSignals = e.outSignals[:0]
 }
 
-// pumpNudge wakes the engine on behalf of a transport pump: a network
-// read pushed items into one of its half links, or an ack freed slots
-// in one. The runtime path posts a scheduler wake; the synchronous path
-// runs the fire pass inline on the pump's goroutine and drains the
+// pumpNudge wakes the engine on behalf of a connection reader: a network
+// read pushed items into one of its half links, or an ack freed slots in
+// one. The runtime path posts a scheduler wake; the synchronous path
+// runs the fire pass inline on the reader's goroutine and drains the
 // nudges it produces, exactly as a neighboring region would.
 func (e *Engine) pumpNudge() {
 	e.mu.Lock()

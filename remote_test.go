@@ -16,6 +16,7 @@ import (
 
 	reo "repro"
 	"repro/internal/ca"
+	"repro/internal/compile"
 )
 
 // remotePair is a connector instance split across two in-process nodes
@@ -53,6 +54,26 @@ func (rp *remotePair) guardEvals() int64 { return rp.a.GuardEvals() + rp.b.Guard
 // sides up).
 func connectRemotePair(t *testing.T, prog *reo.Program, name string, lengths map[string]int, opts ...reo.ConnectOption) *remotePair {
 	t.Helper()
+	alternate := func(asm *compile.Assembly, plan *ca.RegionPlan) []string {
+		regionNode := make([]string, len(plan.Regions))
+		for ri := range regionNode {
+			regionNode[ri] = "a"
+			if ri%2 == 1 {
+				regionNode[ri] = "b"
+			}
+		}
+		return regionNode
+	}
+	return connectPlaced(t, prog, name, lengths, alternate, nil, opts...)
+}
+
+// connectPlaced connects the connector across nodes "a" and "b", each
+// plan region on the node place names for it. wrapB, when non-nil,
+// wraps node b's listener.
+func connectPlaced(t *testing.T, prog *reo.Program, name string, lengths map[string]int,
+	place func(*compile.Assembly, *ca.RegionPlan) []string, wrapB func(net.Listener) net.Listener,
+	opts ...reo.ConnectOption) *remotePair {
+	t.Helper()
 	conn := prog.MustConnector(name)
 	asm, err := conn.Template().Instantiate(lengths)
 	if err != nil {
@@ -63,15 +84,10 @@ func connectRemotePair(t *testing.T, prog *reo.Program, name string, lengths map
 	if nr < 2 {
 		t.Fatalf("connector %s plans %d regions; need at least 2 to distribute", name, nr)
 	}
+	regionNode := place(asm, plan)
 	regions := map[string][]int{}
-	regionNode := make([]string, nr)
-	for ri := 0; ri < nr; ri++ {
-		n := "a"
-		if ri%2 == 1 {
-			n = "b"
-		}
+	for ri, n := range regionNode {
 		regions[n] = append(regions[n], ri)
-		regionNode[ri] = n
 	}
 
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
@@ -83,6 +99,9 @@ func connectRemotePair(t *testing.T, prog *reo.Program, name string, lengths map
 		t.Fatal(err)
 	}
 	nodes := map[string]string{"a": lnA.Addr().String(), "b": lnB.Addr().String()}
+	if wrapB != nil {
+		lnB = wrapB(lnB)
+	}
 
 	connect := func(node string, ln net.Listener) (*reo.Instance, error) {
 		topo := &reo.RemoteTopology{
