@@ -181,3 +181,48 @@ Chain(a;b) = Fifo1(a;m1) mult Fifo1(m1;m2) mult Fifo1(m2;m3)
 		t.Errorf("steady-state scalar round allocates %.2f times; want 0", avg)
 	}
 }
+
+// TestRegionChainSteadyStateAllocs: the synchronous region lane — the
+// 8-stage chain cut into 9 regions, no runtime — walks every hop of an
+// item on the goroutine of the operation that moved it. Once warm, a
+// Send/Recv round allocates nothing: the walk keeps its queue on its own
+// stack and every region reuses its nudge buffer.
+func TestRegionChainSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is unreliable under -race")
+	}
+	prog := reo.MustCompile(`
+Chain(a;b) =
+    prod (i:1..1) Fifo1(a;m1)
+    mult prod (i:1..1) Fifo1(m1;m2)
+    mult prod (i:1..1) Fifo1(m2;m3)
+    mult prod (i:1..1) Fifo1(m3;m4)
+    mult prod (i:1..1) Fifo1(m4;m5)
+    mult prod (i:1..1) Fifo1(m5;m6)
+    mult prod (i:1..1) Fifo1(m6;m7)
+    mult prod (i:1..1) Fifo1(m7;b)`)
+	inst, err := prog.MustConnector("Chain").Connect(nil, reo.WithPartitioning(reo.PartitionRegions))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if n := len(inst.Regions()); n != 9 {
+		t.Fatalf("regions = %d, want 9", n)
+	}
+	out := inst.Outport("a")
+	in := inst.Inport("b")
+	round := func() {
+		if err := out.Send(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round() // warm: every region's states kept, nudge buffers grown
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("steady-state scalar round through 9 synchronous regions allocates %.2f times; want 0", avg)
+	}
+}

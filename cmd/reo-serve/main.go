@@ -15,6 +15,7 @@
 //	POST   /v1/sessions/{id}/recv     -> {"value": v}         read from the session's lane
 //	DELETE /v1/sessions/{id}                                  close (recycles the instance)
 //	GET    /v1/stats                  -> live/created/closed counts, runtime workers and scheduling counters
+//	                                     (passes run by the workers as Local/Injected/Stolen and by tasks as Caller, worker parks)
 //
 // Load mode (self-driving loopback client over real HTTP):
 //

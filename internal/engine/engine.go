@@ -166,7 +166,7 @@ type Engine struct {
 	// subset whose queue conditions (non-empty to emit, non-full to
 	// accept) currently hold. outNudges collects the neighbor regions
 	// whose gates this engine's fires changed; the goroutine that fired
-	// drains it after releasing the lock (see processNudges).
+	// takes it over before releasing the lock (see walk, flushWakes).
 	ends      []linkEnd
 	linkAt    []int32
 	linkGate  ca.BitSet
@@ -181,15 +181,16 @@ type Engine struct {
 	// Worker-runtime support (runtime.go). sched is non-nil when the
 	// engine is a region of a coordinator attached to a Runtime
 	// (dedicated via Options.Workers, or shared via Options.Runtime);
-	// nudges are then posted to it as wake-ups instead of drained
-	// inline. schedState is the engine's run state (idle/queued/running/
-	// dirty) advanced by CAS; homeWorker the worker whose inbox wake-ups
-	// from outside the pool go to. fireCompleted/fireLinkActive report,
+	// nudges then become wake-ups, run by whoever claims them (a worker,
+	// or the task whose operation caused them). schedState is the
+	// engine's run state (idle/queued/running/dirty) advanced by CAS;
+	// homeWorker the worker whose inbox wake-ups from outside the pool go
+	// to. fireCompleted/fireLinkActive report,
 	// per fireLoop call (under mu), whether the pass moved any boundary operation
 	// forward (a batched operation's item progress counts, and a fused
 	// k-step is k items of progress) / touched any link — the runtime's
 	// τ-budget signals. linkBurst/lastSeen are the engine's τ-burst
-	// accounting against its group's completion counter (one worker runs
+	// accounting against its group's completion counter (one holder runs
 	// an engine at a time; both are touched only under mu).
 	sched          *Runtime
 	schedState     atomic.Int32
@@ -589,10 +590,7 @@ func (e *Engine) RecvBatch(p ca.PortID, buf []any) (int, error) {
 // scalar slot (the value a scalar Recv received). It parks only if
 // register could not finish the operation itself.
 func (e *Engine) do(p ca.PortID, send bool, vals []any, v any) (int, any, error) {
-	o, n, out, nudges, err := e.register(p, send, vals, v)
-	if len(nudges) > 0 {
-		e.processNudges(nudges)
-	}
+	o, n, out, err := e.register(p, send, vals, v)
 	if o == nil {
 		return n, out, err
 	}
@@ -646,14 +644,14 @@ func (e *Engine) admit(p ca.PortID, send bool) error {
 // goroutine could observe. Otherwise the operation, with whatever part of
 // its batch already moved, migrates to a pooled op that takes the slot's
 // place in pend; that op is returned and the caller parks on its channel.
-// Either way the slot is cleared before unlocking. Also returned are the
-// cross-region nudges the fires produced (captured under the lock), which
-// the caller must deliver via processNudges after unlocking.
-func (e *Engine) register(p ca.PortID, send bool, vals []any, v any) (parked *op, n int, out any, nudges []*Engine, err error) {
+// Either way the slot is cleared before unlocking. A region engine then
+// settles the cross-region wake-ups the fires produced (regionWakes)
+// before register returns.
+func (e *Engine) register(p ca.PortID, send bool, vals []any, v any) (parked *op, n int, out any, err error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if err := e.admit(p, send); err != nil {
-		return nil, 0, nil, nil, err
+		e.mu.Unlock()
+		return nil, 0, nil, err
 	}
 	o := &e.scratch
 	o.send = send
@@ -680,18 +678,33 @@ func (e *Engine) register(p ca.PortID, send bool, vals []any, v any) (parked *op
 		n, out, err = o.cur, o.inline[0], o.err
 	}
 	o.clear()
-	if e.sched != nil {
-		// Runtime mode: post the wake-ups right here, while still holding
-		// the lock (safe — wake never takes an engine lock) and reusing
-		// the nudge buffer, and feed the group completion counter the
-		// livelock guard measures throughput by. The caller has nothing
-		// left to deliver.
-		e.noteCompletion()
-		e.flushWakes(nil)
+	if e.group != nil {
+		e.regionWakes(parked == nil)
 	} else {
-		nudges, e.outNudges = e.outNudges, nil
+		e.mu.Unlock()
 	}
-	return parked, n, out, nudges, err
+	return parked, n, out, err
+}
+
+// regionWakes is register's tail on a region engine, called with e.mu
+// held; it releases the lock. Without a runtime the operation's goroutine
+// walks the regions its fires woke, as a pass of a neighbor would. With
+// one, it feeds the group completion counter the livelock guard measures
+// throughput by; then an operation that finished walks the woken regions
+// itself (work first: the task goes on running what it just made ready),
+// while one about to park posts them to the pool, still under the lock
+// (safe — wake never takes an engine lock). A parking task helping too
+// was measured to slow batch streaming.
+func (e *Engine) regionWakes(finished bool) {
+	if e.sched != nil {
+		e.noteCompletion()
+		if !finished {
+			e.flushWakes(nil)
+			e.mu.Unlock()
+			return
+		}
+	}
+	e.walk()
 }
 
 // tryEnable appends plan i to the candidate buffer if its sync set is

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +19,8 @@ import (
 // non-empty, so a region decides its fires with purely local information
 // and never takes a neighbor's lock while holding its own. After a fire
 // changes link state, the firing goroutine re-fires the affected
-// neighbors one at a time (processNudges), so cross-region progress
-// needs no background goroutines.
+// neighbors one at a time (walk), so cross-region progress needs no
+// background goroutines.
 
 // link is the bounded SPSC queue backing one cut buffer constituent.
 // The source region pushes (by firing the buffer's accept port), the
@@ -431,58 +432,124 @@ func (e *Engine) noteNudge(t *Engine) {
 	e.outNudges = append(e.outNudges, t)
 }
 
-// processNudges delivers cross-region wake-ups collected by this
-// engine's fires: it locks each noted neighbor in turn — never holding
-// two engine locks at once, so lock order cannot deadlock — and runs its
-// fire loop, accumulating any nudges those fires produce in turn
-// (a token relaying across several regions is walked to quiescence by
-// the goroutine that set it in motion). Must be called WITHOUT mu held.
+// walkQueue is the capacity of the queue a walk keeps on its goroutine's
+// stack: a walk with a runtime holds at most that many regions and hands
+// the pool any more, a synchronous one spills to the heap beyond it.
+const walkQueue = 32
+
+// regionQueue is the FIFO of one walk: the regions awaiting a pass, each
+// at most once at a time. It is passed and returned by value, which is
+// what keeps the array of a walk's queue on the walk's stack.
+type regionQueue struct {
+	q    []*Engine
+	head int
+}
+
+func (w regionQueue) len() int { return len(w.q) - w.head }
+
+func (w regionQueue) has(t *Engine) bool { return slices.Contains(w.q[w.head:], t) }
+
+// push appends t, first moving the waiting entries to the front of the
+// array when the array is full, so the queue grows with the regions
+// waiting at once rather than with the passes walked.
+func (w regionQueue) push(t *Engine) regionQueue {
+	if len(w.q) == cap(w.q) && w.head > 0 {
+		w.q, w.head = w.q[:copy(w.q, w.q[w.head:])], 0
+	}
+	w.q = append(w.q, t)
+	return w
+}
+
+// walk runs the fire passes of the regions e's fires woke, and of those
+// their passes wake in turn: one region at a time, in FIFO order, each
+// under its own lock — never two engine locks at once, so lock order
+// cannot deadlock. Called with e.mu held after a fire loop of e; it takes
+// e's nudges onto its queue while still holding the lock, then releases
+// it.
 //
-// Every link-state change happens inside some engine's fire loop, and
-// the goroutine that ran that loop processes its nudges afterwards, so
-// no enablement is ever lost: the neighbor's re-fire happens-after the
-// change via its lock acquisition.
+// Without a runtime it walks every region to quiescence: a token relaying
+// across several regions is carried by the goroutine that set it in
+// motion. A closed cycle of links with no task anywhere on it (a token
+// spinning through pure relay regions) would keep the walk alive
+// forever, and the per-engine τ-burst guard cannot see it because each
+// region's own fire loop quiesces after one hop; the walk therefore
+// carries its own budget, mirroring the single-engine ErrLivelock on τ
+// bursts.
 //
-// A closed cycle of links with no task anywhere on it (a token spinning
-// through pure relay regions) would keep the walk alive forever; the
-// per-engine τ-burst guard cannot see it because each region's own fire
-// loop quiesces after one hop. The walk therefore carries its own
-// budget, mirroring the single-engine ErrLivelock on τ bursts.
-func (e *Engine) processNudges(work []*Engine) {
-	visits := 0
-	for len(work) > 0 {
-		visits++
-		if visits > e.opts.MaxTauBurst {
+// With a runtime it is what a task does after an operation that finished
+// in register, instead of waking a worker: it claims each woken region as
+// a worker would (idle→running; rt.wake marks one some other goroutine
+// holds dirty, and leaves a queued one be), reruns a region a wake-up
+// dirtied during its pass, keeps the worker's livelock accounting, and
+// stops after pollEvery passes, as a worker's run list does, handing the
+// pool what is left. Claims are made under the lock of the engine whose
+// fires woke the region, so the instance cannot finish closing (detach)
+// while the walk holds any of its regions.
+//
+// Every link-state change happens inside some engine's fire loop, and the
+// goroutine that ran that loop walks or posts its nudges afterwards, so no
+// enablement is ever lost: the neighbor's pass happens-after the change
+// via its lock acquisition.
+func (e *Engine) walk() {
+	rt := e.sched
+	var buf [walkQueue]*Engine
+	w := e.takeNudges(rt, regionQueue{q: buf[:0]})
+	e.mu.Unlock()
+	passes := 0
+	for w.len() > 0 {
+		if rt != nil && passes == pollEvery {
+			rt.requeue(w.q[w.head:]...)
+			break
+		}
+		passes++
+		if rt == nil && passes > e.opts.MaxTauBurst {
 			e.breakExternal(ErrLivelock)
 			return
 		}
-		t := work[0]
-		work = work[1:]
+		t := w.q[w.head]
+		w.head++
 		t.mu.Lock()
-		if t.closed || t.broken != nil {
-			t.mu.Unlock()
-			continue
-		}
-		t.fireLoop(pumpTrigger)
-		t.flushSignals()
-		more := t.outNudges
-		t.outNudges = nil
-		t.mu.Unlock()
-		// Deduplicate; e itself may be re-enqueued (a downstream pop can
-		// reopen our own gates).
-		for _, m := range more {
-			seen := false
-			for _, w := range work {
-				if w == m {
-					seen = true
-					break
-				}
+		if !t.closed && t.broken == nil {
+			t.fireLoop(pumpTrigger)
+			if rt != nil {
+				t.noteTauProgress()
 			}
-			if !seen {
-				work = append(work, m)
+		}
+		w = t.takeNudges(rt, w)
+		t.flushSignals()
+		dead := t.closed || t.broken != nil
+		t.mu.Unlock()
+		if rt != nil && t.endPass(dead, schedRunning) {
+			if w.len() < walkQueue {
+				w = w.push(t)
+			} else {
+				rt.requeue(t)
 			}
 		}
 	}
+	if rt != nil && passes > 0 {
+		rt.caller.Add(int64(passes))
+	}
+}
+
+// takeNudges moves the regions e's fires woke onto the walk's queue,
+// skipping those already waiting there, and empties e's nudge buffer in
+// place. With a runtime rt a region is queued only if the walk has room
+// and claims it; any other goes through rt.wake. Called with e.mu held.
+func (e *Engine) takeNudges(rt *Runtime, w regionQueue) regionQueue {
+	for _, t := range e.outNudges {
+		switch {
+		case w.has(t):
+		case rt == nil:
+			w = w.push(t)
+		case w.len() < walkQueue && t.schedState.CompareAndSwap(schedIdle, schedRunning):
+			w = w.push(t)
+		default:
+			rt.wake(t)
+		}
+	}
+	e.outNudges = e.outNudges[:0]
+	return w
 }
 
 // settle runs the initial fire pass of a freshly built region (and its
@@ -495,10 +562,7 @@ func (e *Engine) settle() {
 	e.mu.Lock()
 	e.fireLoop(pumpTrigger)
 	e.flushSignals()
-	nudges := e.outNudges
-	e.outNudges = nil
-	e.mu.Unlock()
-	e.processNudges(nudges)
+	e.walk()
 }
 
 // linkCount returns the number of link endpoints attached to the engine.

@@ -10,9 +10,9 @@ import (
 // connectors: a fixed worker pool that runs region engines in response
 // to wake-ups. In synchronous mode (no Workers, no Runtime) every
 // cross-region nudge is drained inline by the goroutine that fired
-// (region.go, processNudges), so a connector cut into eight regions
+// (region.go, Engine.walk), so a connector cut into eight regions
 // still burns one core; with a runtime, a nudge becomes a wake-up and
-// the affected regions fire on the pool, concurrently.
+// the affected regions fire concurrently, on the pool and on the tasks.
 //
 // A Runtime is either dedicated — owned by one Multi (Options.Workers
 // != 0), capped at its region count, shut down with it — or shared:
@@ -28,16 +28,28 @@ import (
 // so a fire pass happens-after every wake.
 //
 // With capacity-1 links every hop of an item is a wake-up, so where a
-// woken engine is queued decides what a hop costs: with the runtime lock
-// on that path, two workers spend ~45 % of a streaming chain's CPU
-// handing each other the lock. A wake-up produced by a worker's own
-// fire pass (flushWakes, the dirty requeue) therefore goes on that
-// worker's private run list — a plain FIFO nobody else touches — and the
-// worker continues with it itself, work first. The lock guards only the
-// injection queue (one inbox per worker) and the parking of workers:
+// woken engine runs decides what a hop costs. The rule is work first
+// (Cilk-5's work-first principle): whoever's fire woke a region runs its
+// pass next, if it can claim it, instead of handing it to a goroutine
+// that has to be woken.
 //
-//   - wake-ups from outside the pool (a task's register, a transport
-//     pump, attach) go to the inbox of the engine's home worker;
+//   - A task operation that finished in register carries on itself: the
+//     regions its fires woke, and the ones their passes wake in turn, run
+//     on the task's goroutine (Engine.walk), claimed with the workers' CAS
+//     and at most pollEvery passes per operation; the rest goes to the
+//     pool. A scalar item then crosses a streaming chain on the goroutines
+//     of its sender and receiver, and no worker is woken for it.
+//   - A wake-up produced by a worker's own fire pass (flushWakes, the
+//     dirty→queued requeue) goes on that worker's private run list — a
+//     plain FIFO nobody else touches — and the worker continues with it.
+//
+// The runtime lock guards only the injection queue (one inbox per worker)
+// and the parking of workers:
+//
+//   - wake-ups from outside the pool that nobody runs on the spot (a
+//     parking task operation, a transport pump, attach, a region a
+//     caller's walk could not claim or did not reach) go to the inbox of
+//     the engine's home worker;
 //   - surplus: while a worker is parked, a worker holding more than the
 //     engine it is about to run moves one to its own inbox.
 //
@@ -62,15 +74,17 @@ const (
 	schedIdle int32 = iota
 	// schedQueued: on a run list or inbox awaiting a fire pass.
 	schedQueued
-	// schedRunning: a worker is inside its fire pass.
+	// schedRunning: a worker or a caller's walk holds the engine for a
+	// fire pass.
 	schedRunning
-	// schedDirty: running, and a wake-up arrived meanwhile; the worker
-	// requeues the engine when the current pass finishes.
+	// schedDirty: running, and a wake-up arrived meanwhile; the holder
+	// reruns the engine when the current pass finishes.
 	schedDirty
 )
 
 // pollEvery bounds the consecutive passes a worker takes from its run
-// list before it looks at the inboxes.
+// list before it looks at the inboxes, and the passes a task runs after
+// one operation (Engine.walk).
 const pollEvery = 61
 
 // engineRing is a FIFO of engines: a growable ring so the steady state —
@@ -108,13 +122,15 @@ func (r *engineRing) pop() *Engine {
 // RuntimeStats is a snapshot of a Runtime's scheduling counters, summed
 // over its workers.
 type RuntimeStats struct {
-	// Passes counts the fire passes run: Local + Injected + Stolen.
+	// Passes counts the fire passes run: Local + Injected + Stolen +
+	// Caller.
 	Passes int64
 	// Local passes continued from the worker's run list, Injected ones
 	// came from its own inbox (wake-ups from outside the pool), Stolen
 	// ones from another worker's (its surplus, or an injection it had not
-	// reached).
-	Local, Injected, Stolen int64
+	// reached). Caller passes ran on a task's goroutine, after its
+	// operation finished (Engine.walk); the other three are the workers'.
+	Local, Injected, Stolen, Caller int64
 	// Parks counts how often a worker found nothing to run and slept.
 	Parks int64
 }
@@ -159,6 +175,8 @@ type Runtime struct {
 	nextHome int
 	// attached counts currently attached engines (diagnostics).
 	attached int
+	// caller counts the passes run by tasks' walks, added once per walk.
+	caller atomic.Int64
 	// dedicated marks a pool owned by a single Multi: Close of that
 	// Multi shuts the pool down instead of detaching from it.
 	dedicated bool
@@ -221,7 +239,8 @@ func (rt *Runtime) Attached() int {
 }
 
 // Stats sums the workers' counters as they last published them (see
-// worker.pub): exact once the pool is idle or closed.
+// worker.pub), and the passes tasks ran: exact once the pool is idle or
+// closed.
 func (rt *Runtime) Stats() RuntimeStats {
 	var s RuntimeStats
 	rt.mu.Lock()
@@ -232,7 +251,8 @@ func (rt *Runtime) Stats() RuntimeStats {
 		s.Parks += w.pub.Parks
 	}
 	rt.mu.Unlock()
-	s.Passes = s.Local + s.Injected + s.Stolen
+	s.Caller = rt.caller.Load()
+	s.Passes = s.Local + s.Injected + s.Stolen + s.Caller
 	return s
 }
 
@@ -270,7 +290,7 @@ func (rt *Runtime) detach(engines []*Engine) {
 			}
 			// A queued engine can be reclaimed directly: its entry becomes
 			// stale and is dropped at pop time. Running or dirty means a
-			// worker is (about to be) inside a pass; wait it out.
+			// worker or a task's walk holds it for a pass; wait it out.
 			if st == schedQueued && e.schedState.CompareAndSwap(schedQueued, schedIdle) {
 				break
 			}
@@ -411,29 +431,49 @@ func (w *worker) runEngine(e *Engine) {
 		e.noteTauProgress()
 	}
 	// Flush nudges even from a pass that broke the engine: link-state
-	// changes it made before breaking must still wake the neighbors.
+	// changes it made before breaking must still wake the neighbors. The
+	// pass is rerun if a wake-up arrived meanwhile (endPass).
 	e.flushWakes(w)
 	e.flushSignals()
 	closedNow := e.closed || e.broken != nil
 	e.mu.Unlock()
-	// Leave the running state: a wake that arrived during the pass
-	// flipped it to dirty, and the pass must be rerun — unless the
-	// engine is closed or broken, in which case the wake has nothing
-	// left to observe and requeueing would keep a dead engine cycling
-	// through the pool.
+	if e.endPass(closedNow, schedQueued) {
+		w.run.push(e)
+	}
+}
+
+// endPass leaves the running state after a pass of e. A wake that arrived
+// during the pass flipped it to dirty, and the pass must be rerun: endPass
+// moves e to next — queued for a worker's run list, running for a walk
+// that reruns it itself — and reports true. Not so if the engine is closed
+// or broken: the wake has nothing left to observe, and requeueing would
+// keep a dead engine cycling through the pool.
+func (e *Engine) endPass(closedNow bool, next int32) bool {
 	for {
 		if e.schedState.CompareAndSwap(schedRunning, schedIdle) {
-			return
+			return false
 		}
 		if closedNow {
 			if e.schedState.CompareAndSwap(schedDirty, schedIdle) {
-				return
+				return false
 			}
-		} else if e.schedState.CompareAndSwap(schedDirty, schedQueued) {
-			w.run.push(e)
-			return
+		} else if e.schedState.CompareAndSwap(schedDirty, next) {
+			return true
 		}
 	}
+}
+
+// requeue hands the pool engines a task's walk holds (running or dirty)
+// but will not run: each goes to its home worker's inbox. Other goroutines
+// only ever flip a held engine from running to dirty, which queued
+// subsumes, so a plain store makes the transition.
+func (rt *Runtime) requeue(es ...*Engine) {
+	rt.mu.Lock()
+	for _, e := range es {
+		e.schedState.Store(schedQueued)
+		rt.inject(rt.workers[e.homeWorker], e)
+	}
+	rt.mu.Unlock()
 }
 
 // Close stops the workers and waits for them to exit. Idempotent. Every
@@ -455,7 +495,7 @@ func (rt *Runtime) Close() error {
 // flushWakes turns the cross-region nudges collected by this engine's
 // fires into wake-ups — on w's private run list when the pass ran on
 // pool worker w, through the injection queue when w is nil (a task's
-// register) — and resets the buffer in place, so the scheduler path
+// operation that parks) — and resets the buffer in place, so the scheduler path
 // re-uses one nudge buffer forever instead of allocating per pass.
 // Called with e.mu held, after fireLoop returned — every link commit
 // the fires deferred is published by then, so a woken neighbor always
@@ -479,7 +519,7 @@ func (e *Engine) flushWakes(w *worker) {
 
 // noteCompletion records boundary-operation progress for the τ-livelock
 // budget shared by the instance's regions. Called with e.mu held after
-// a fire pass (on either the register or the worker path).
+// register's fire loop.
 func (e *Engine) noteCompletion() {
 	if e.fireCompleted && e.group != nil {
 		e.group.completions.Add(1)
@@ -487,7 +527,7 @@ func (e *Engine) noteCompletion() {
 }
 
 // noteTauProgress advances the engine's τ-burst accounting after a
-// worker fire pass: link-only passes with no boundary completion
+// fire pass of a worker or a task's walk: link-only passes with no boundary completion
 // anywhere in the instance's region group accumulate, and a full
 // MaxTauBurst of them means a token is spinning through pure relay
 // regions — a closed cycle of links with no task on it — so the engine
@@ -495,7 +535,7 @@ func (e *Engine) noteCompletion() {
 // group-wide completion since the engine's last pass resets the burst:
 // healthy global throughput is not a livelock, even if this engine's
 // own diet is pure relay. Called with e.mu held; the counters live on
-// the engine (one worker runs an engine at a time, so they need no
+// the engine (one holder runs an engine at a time, so they need no
 // atomicity beyond the lock).
 func (e *Engine) noteTauProgress() {
 	g := e.group

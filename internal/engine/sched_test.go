@@ -528,8 +528,8 @@ func TestRuntimeContinuesLocally(t *testing.T) {
 	rt.Close()
 	st := rt.Stats()
 	t.Logf("stats: %+v", st)
-	if st.Passes != st.Local+st.Injected+st.Stolen {
-		t.Errorf("passes %d != local %d + injected %d + stolen %d", st.Passes, st.Local, st.Injected, st.Stolen)
+	if st.Passes != st.Local+st.Injected+st.Stolen+st.Caller {
+		t.Errorf("passes %d != local %d + injected %d + stolen %d + caller %d", st.Passes, st.Local, st.Injected, st.Stolen, st.Caller)
 	}
 	hops := int64(batches * k * stages)
 	if st.Passes < hops {
@@ -547,12 +547,60 @@ func TestRuntimeContinuesLocally(t *testing.T) {
 	}
 }
 
+// TestRuntimeCallerRunsScalarChain: scalar items streamed through the
+// 8-stage chain are carried by the tasks whose operations moved them —
+// each finished Send or Recv walks the regions it woke — so they arrive
+// in order while the workers run fewer passes than there are items (a
+// pool that ran every hop would run about one per region per item).
+func TestRuntimeCallerRunsScalarChain(t *testing.T) {
+	const stages, items = 8, 10000
+	rt := engine.NewRuntime(2)
+	m, a, b := fifoChain(t, stages, engine.Options{Runtime: rt})
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < items; i++ {
+			if err := m.Send(a, i); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for i := 0; i < items; i++ {
+		if v, err := m.Recv(b); err != nil || v != i {
+			t.Fatalf("recv %d = %v, %v", i, v, err)
+		}
+	}
+	if err := waitForErr(t, sent, 5*time.Second, "sender"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Steps(), int64(items*(stages+1)); got != want {
+		t.Errorf("Steps() = %d, want %d", got, want)
+	}
+	m.Close()
+	rt.Close()
+	st := rt.Stats()
+	t.Logf("stats: %+v", st)
+	if st.Passes != st.Local+st.Injected+st.Stolen+st.Caller {
+		t.Errorf("passes %d != local %d + injected %d + stolen %d + caller %d", st.Passes, st.Local, st.Injected, st.Stolen, st.Caller)
+	}
+	if st.Caller == 0 {
+		t.Error("no pass ran on a task's goroutine")
+	}
+	if workers := st.Local + st.Injected + st.Stolen; workers >= items {
+		t.Errorf("workers ran %d passes for %d items, want fewer than one per item", workers, items)
+	}
+}
+
 // TestRuntimeOneWorkerFairness: on a one-worker pool, an instance that
 // keeps the worker's run list from ever emptying — by streaming without
 // end, or by spinning a token through a closed relay cycle with an
-// unbounded τ budget — must not keep a sibling's operations from
+// unbounded τ budget, whether the token was there from the start or a
+// task's Send put it there — must not keep a sibling's operations from
 // completing: the worker looks at the injection queue at a bounded
-// interval.
+// interval. The kicking Send itself returns: a task walks at most as many
+// passes after its operation as a worker takes from its run list in a
+// row, and hands the pool the rest.
 func TestRuntimeOneWorkerFairness(t *testing.T) {
 	hogs := map[string]func(t *testing.T, rt *engine.Runtime) (stop func()){
 		"streaming": func(t *testing.T, rt *engine.Runtime) func() {
@@ -585,6 +633,31 @@ func TestRuntimeOneWorkerFairness(t *testing.T) {
 			auts := []*ca.Automaton{prim.Fifo1Full(u, x, y, prim.Token{}), prim.Fifo1(u, y, x)}
 			m, err := engine.NewMultiRegions(u, auts, engine.Options{Runtime: rt, MaxTauBurst: math.MaxInt})
 			if err != nil {
+				t.Fatal(err)
+			}
+			return func() { m.Close() }
+		},
+		"kicked": func(t *testing.T, rt *engine.Runtime) func() {
+			// a's Send merges a token into the cycle x → y → w → x, whose
+			// two links join the merger's region and y's node region.
+			u := ca.NewUniverse()
+			a, x, y, w := u.Port("a"), u.Port("x"), u.Port("y"), u.Port("w")
+			u.SetDir(a, ca.DirSource)
+			auts := []*ca.Automaton{
+				prim.Merger(u, []ca.PortID{a, w}, x),
+				prim.Fifo1(u, x, y),
+				prim.Fifo1(u, y, w),
+			}
+			m, err := engine.NewMultiRegions(u, auts, engine.Options{Runtime: rt, MaxTauBurst: math.MaxInt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Partitions() != 2 {
+				t.Fatalf("partitions = %d, want 2", m.Partitions())
+			}
+			sent := make(chan error, 1)
+			go func() { sent <- m.Send(a, prim.Token{}) }()
+			if err := waitForErr(t, sent, 20*time.Second, "the kicking send"); err != nil {
 				t.Fatal(err)
 			}
 			return func() { m.Close() }

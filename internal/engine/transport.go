@@ -138,8 +138,5 @@ func (e *Engine) pumpNudge() {
 	}
 	e.fireLoop(pumpTrigger)
 	e.flushSignals()
-	nudges := e.outNudges
-	e.outNudges = nil
-	e.mu.Unlock()
-	e.processNudges(nudges)
+	e.walk()
 }

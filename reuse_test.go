@@ -6,10 +6,12 @@
 package reo_test
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +127,16 @@ func TestReuseDifferential(t *testing.T) {
 				}
 				for range vs {
 					got[<-recvd]++
+				}
+			})
+			// Close only once every receiver waits in its next Recv (the
+			// send, one Recv per value and one per receiver registered): a
+			// Recv issued after Close would reach the recycled instance,
+			// since under WithReuse no port access may follow Close.
+			parked := int64(1 + len(vs) + len(inst.Inports("out")))
+			within(t, 10*time.Second, "every receiver parked", func() {
+				for inst.Backend().OpsRegistered() < parked {
+					runtime.Gosched()
 				}
 			})
 			inst.Close()
@@ -496,5 +508,63 @@ func TestReuseChurnOnBusyRuntime(t *testing.T) {
 		if round >= 1 && expansions != 0 {
 			t.Fatalf("round %d: %d expansions, want 0: the instance was not recycled", round, expansions)
 		}
+	}
+}
+
+// TestSharedRuntimeReuseScalarClose streams scalar items through recycled
+// instances of an 8-stage chain on a shared runtime and closes each
+// instance the moment its last item arrives. That item reached the
+// receiver inside the sender's last Send, which may still be walking
+// regions its fires woke: Close must wait for those passes before the
+// instance is reset and recycled, so every next run on the recycled
+// instance delivers its own items, in order, and nothing else.
+func TestSharedRuntimeReuseScalarClose(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("Chain(a;b) =\n    prod (i:1..1) Fifo1(a;m1)\n")
+	for i := 1; i < 7; i++ {
+		fmt.Fprintf(&src, "    mult prod (i:1..1) Fifo1(m%d;m%d)\n", i, i+1)
+	}
+	src.WriteString("    mult prod (i:1..1) Fifo1(m7;b)\n")
+	conn, err := reo.MustCompile(src.String()).Connector("Chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := reo.NewRuntime(2)
+	defer rt.Close()
+	opts := []reo.ConnectOption{reo.WithSeed(7), reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt), reo.WithReuse(true)}
+	for round := 0; round < 40; round++ {
+		inst, err := conn.Connect(nil, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := 16 + round
+		sent := make(chan error, 1)
+		go func() {
+			out := inst.Outport("a")
+			for i := 0; i < items; i++ {
+				if err := out.Send(round*1000 + i); err != nil {
+					sent <- err
+					return
+				}
+			}
+			sent <- nil
+		}()
+		in := inst.Inport("b")
+		for i := 0; i < items; i++ {
+			if v, err := in.Recv(); err != nil || v != round*1000+i {
+				t.Fatalf("round %d: recv %d = %v, %v", round, i, v, err)
+			}
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- inst.Close() }()
+		if err := <-sent; err != nil {
+			t.Fatalf("round %d: send: %v", round, err)
+		}
+		if err := <-closed; err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+	}
+	if st := rt.Stats(); st.Caller == 0 {
+		t.Errorf("no pass ran on a task's goroutine: %+v", st)
 	}
 }
