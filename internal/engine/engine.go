@@ -145,8 +145,14 @@ type Engine struct {
 	portBuf  []ca.PortID
 	rng      pickRNG
 	closed   bool
-	broken   error
-	tracer   Tracer
+	// relay marks a region that only forwards: one synthesized node whose
+	// port faces no task, between one inbound and some outbound links.
+	// Its passes run relayPass instead of the fire loop (see pass). It
+	// sits beside closed, in what would be padding, so the fields the
+	// firing path reads keep their offsets.
+	relay  bool
+	broken error
+	tracer Tracer
 	// enabledBuf is the reusable candidate buffer of fireLoop.
 	enabledBuf []int32
 	// scratch is the op every operation registers in; it is pending only
@@ -275,9 +281,10 @@ func newEngine(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Engine, err
 }
 
 // finish completes construction after any link endpoints are attached:
-// for AOT composition the reachable composite space is expanded now.
+// for AOT composition the reachable composite space is expanded now,
+// except on a relay region, which never dispatches.
 func (e *Engine) finish() error {
-	if e.opts.Composition == AOT {
+	if e.opts.Composition == AOT && !e.relay {
 		return e.expandAll()
 	}
 	return nil
@@ -1117,8 +1124,15 @@ func (e *Engine) Expansions() int64 { return e.expansions.Load() }
 
 // GuardEvals returns how many candidate transitions had their guards
 // evaluated — the dispatch work of the engine. With port-indexed dispatch
-// this is proportional to affected transitions, not state out-degree.
-func (e *Engine) GuardEvals() int64 { return e.guardEvals.Load() }
+// this is proportional to affected transitions, not state out-degree. A
+// relay region counts one per hop, as the fire loop would, so its count
+// is its step count.
+func (e *Engine) GuardEvals() int64 {
+	if e.relay {
+		return e.steps.Load()
+	}
+	return e.guardEvals.Load()
+}
 
 // OpsRegistered returns how many port operations have ever been accepted
 // for pending (a monotonic count; completed operations stay counted).

@@ -286,8 +286,11 @@ func (e *Engine) addEmit(p ca.PortID, l *link) {
 
 // initLinks finalizes link-endpoint bookkeeping. Must run after all
 // addAccept/addEmit calls and before the engine expands any state (the
-// compiled plans depend on which ports are link endpoints).
-func (e *Engine) initLinks() {
+// compiled plans depend on which ports are link endpoints). nodeOnly
+// reports that the region holds one synthesized node automaton and no
+// constituent of its own: it is then a relay if its port faces no task
+// and has one inbound and at least one outbound link.
+func (e *Engine) initLinks(nodeOnly bool) {
 	if len(e.ends) == 0 {
 		return
 	}
@@ -296,6 +299,9 @@ func (e *Engine) initLinks() {
 	for i := range e.ends {
 		e.linkGate.Set(e.ends[i].port)
 	}
+	end := &e.ends[0]
+	e.relay = nodeOnly && len(e.ends) == 1 && e.dirOf(end.port) == ca.DirNone &&
+		end.emit != nil && len(end.accept) > 0
 	e.refreshLinks()
 }
 
@@ -365,11 +371,7 @@ func (e *Engine) fireLinkPort(p ca.PortID, deferred bool) {
 		if o := e.pend[p]; o != nil && !o.send {
 			o.vals[o.cur] = v
 		}
-		if l.src != nil {
-			e.noteNudge(l.src)
-		} else {
-			e.noteSignal(l) // remote producer: the peer sends the ack
-		}
+		e.noteLink(l.src, l)
 	} else if o := e.pend[p]; o != nil && o.send {
 		v = o.vals[o.cur]
 	}
@@ -379,11 +381,7 @@ func (e *Engine) fireLinkPort(p ca.PortID, deferred bool) {
 		} else {
 			l.push(v)
 		}
-		if l.dst != nil {
-			e.noteNudge(l.dst)
-		} else {
-			e.noteSignal(l) // remote consumer: the peer sends the data
-		}
+		e.noteLink(l.dst, l)
 	}
 	if !deferred {
 		e.refreshEnd(end)
@@ -415,6 +413,83 @@ func (e *Engine) commitLinkPort(p ca.PortID) {
 		l.commitPushes()
 	}
 	e.refreshEnd(end)
+}
+
+// noteLink records that a fire moved an item on l, whose far side is
+// region far: far must re-fire, or, when l is a half link (far nil), the
+// peer that services it must be signaled — to send the data on a
+// producer-local half, the ack on a consumer-local one. Called with mu
+// held.
+func (e *Engine) noteLink(far *Engine, l *link) {
+	if far != nil {
+		e.noteNudge(far)
+	} else {
+		e.noteSignal(l)
+	}
+}
+
+// relayPass is the pass of a relay region. Its one transition moves the
+// inbound link's head to every outbound link, with no guard, no action and
+// no other state, so it needs no dispatch: while the inbound link offers
+// an item and every outbound one has room it moves the item, counting the
+// step and the one guard evaluation the fire loop counts per hop (and
+// tracing the hop as internal); then it nudges each neighbor once and
+// refreshes its gate. A relay never expands a state or compiles a plan.
+// It reports its progress as fireLoop does, so the τ-burst budgets of
+// walk and noteTauProgress still break a closed cycle of relays. Called
+// with mu held.
+func (e *Engine) relayPass() {
+	e.fireCompleted, e.fireLinkActive = false, false
+	if e.broken != nil {
+		return
+	}
+	end := &e.ends[0]
+	in := end.emit
+	hops := int64(0)
+	for !in.empty() && hasRoom(end.accept) {
+		v := in.pop()
+		for _, l := range end.accept {
+			l.push(v)
+		}
+		hops++
+		if e.tracer != nil {
+			// Steps change only under mu: this hop is step count + hops.
+			e.tracer(TraceEvent{Step: e.steps.Load() + hops, Internal: true})
+		}
+	}
+	if hops == 0 {
+		return
+	}
+	e.steps.Add(hops) // and as many guard evaluations: see GuardEvals
+	e.fireLinkActive = true
+	e.noteLink(in.src, in)
+	for _, l := range end.accept {
+		e.noteLink(l.dst, l)
+	}
+	e.refreshEnd(end)
+}
+
+// hasRoom reports whether every link of ls accepts an item. Producer side
+// only.
+func hasRoom(ls []*link) bool {
+	for _, l := range ls {
+		if l.full() {
+			return false
+		}
+	}
+	return true
+}
+
+// pass runs one pass of e on behalf of a wake-up rather than a fresh
+// operation — a neighbor's nudge, a transport read, the initial settle:
+// the relay pass on a relay region, the fire loop on any other. Called
+// with mu held.
+func (e *Engine) pass() {
+	if e.relay {
+		e.relayPass()
+		return
+	}
+	e.fireLoop(pumpTrigger)
 }
 
 // noteNudge records that a fire changed link state visible to neighbor
@@ -510,7 +585,7 @@ func (e *Engine) walk() {
 		w.head++
 		t.mu.Lock()
 		if !t.closed && t.broken == nil {
-			t.fireLoop(pumpTrigger)
+			t.pass()
 			if rt != nil {
 				t.noteTauProgress()
 			}
@@ -560,7 +635,7 @@ func (e *Engine) settle() {
 		return
 	}
 	e.mu.Lock()
-	e.fireLoop(pumpTrigger)
+	e.pass()
 	e.flushSignals()
 	e.walk()
 }
@@ -703,7 +778,7 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 		if e == nil {
 			continue
 		}
-		e.initLinks()
+		e.initLinks(len(plan.Regions[ri].Auts) == 0 && len(plan.Regions[ri].Nodes) == 1)
 		if bind != nil {
 			bind(ri, plan.Regions[ri], e)
 		}

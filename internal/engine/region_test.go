@@ -1,7 +1,9 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -113,7 +115,10 @@ func TestRegionsInitiallyFullLink(t *testing.T) {
 }
 
 // TestRegionsNodeRelay: a pure buffer pipeline (only node regions) must
-// relay values across multiple pump-driven hops.
+// relay values across multiple pump-driven hops. Traced, every step is
+// reported once, each region numbers its steps 1, 2, 3, ... with no gap,
+// and the relay node's hops — the only steps no task operation takes part
+// in — are the internal ones.
 func TestRegionsNodeRelay(t *testing.T) {
 	u := ca.NewUniverse()
 	a, mid, b := u.Port("a"), u.Port("m"), u.Port("b")
@@ -128,6 +133,8 @@ func TestRegionsNodeRelay(t *testing.T) {
 	if m.Partitions() != 3 {
 		t.Fatalf("partitions = %d, want 3 (two ends and a relay node)", m.Partitions())
 	}
+	var rec engine.Recorder
+	m.SetTracer(rec.Trace)
 	const rounds = 100
 	go func() {
 		for i := 0; i < rounds; i++ {
@@ -140,6 +147,107 @@ func TestRegionsNodeRelay(t *testing.T) {
 		v, err := m.Recv(b)
 		if err != nil || v != i {
 			t.Fatalf("recv %d = %v, %v", i, v, err)
+		}
+	}
+	m.Close() // takes every region's lock: the last step is counted and traced
+	events := rec.Events()
+	if int64(len(events)) != m.Steps() {
+		t.Fatalf("%d trace events for %d steps", len(events), m.Steps())
+	}
+	steps := map[string][]int64{}
+	for _, ev := range events {
+		who := "relay"
+		switch {
+		case ev.Internal && len(ev.Ports) == 0:
+		case !ev.Internal && len(ev.Ports) == 1:
+			who = ev.Ports[0].Name
+		default:
+			t.Fatalf("event %v: want an internal relay hop or one boundary port", ev)
+		}
+		steps[who] = append(steps[who], ev.Step)
+	}
+	want := make([]int64, rounds)
+	for i := range want {
+		want[i] = int64(i + 1)
+	}
+	for _, who := range []string{"a", "relay", "b"} {
+		got := steps[who]
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s steps = %v, want 1..%d once each", who, got, rounds)
+		}
+	}
+}
+
+// TestRegionsRelayCounters streams items through the 8-stage chain, whose
+// seven middle regions are relays, scalar and in batches, synchronously
+// and on a 2-worker runtime. Every lane counts the same: one step per
+// region an item enters, and on each relay one step and one guard
+// evaluation per item, however the hops of neighboring regions overlap
+// in time, and no expansion.
+func TestRegionsRelayCounters(t *testing.T) {
+	const stages = 8
+	for _, lane := range []string{"sync", "runtime"} {
+		for _, k := range []int{1, 64} {
+			t.Run(fmt.Sprintf("%s/k%d", lane, k), func(t *testing.T) {
+				var opts engine.Options
+				var rt *engine.Runtime
+				if lane == "runtime" {
+					rt = engine.NewRuntime(2)
+					defer rt.Close()
+					opts.Runtime = rt
+				}
+				m, a, b := fifoChain(t, stages, opts)
+				items := 10000
+				if k == 1 {
+					sent := make(chan error, 1)
+					go func() {
+						for i := 0; i < items; i++ {
+							if err := m.Send(a, i); err != nil {
+								sent <- err
+								return
+							}
+						}
+						sent <- nil
+					}()
+					for i := 0; i < items; i++ {
+						if v, err := m.Recv(b); err != nil || v != i {
+							t.Fatalf("recv %d = %v, %v", i, v, err)
+						}
+					}
+					if err := waitForErr(t, sent, 5*time.Second, "sender"); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					batches := items / k
+					items = batches * k
+					if err := waitForErr(t, streamBatches(t, m, a, b, batches, k), 5*time.Second, "sender"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Close waits for every pass to end: the counters are final.
+				m.Close()
+				if got, want := m.Steps(), int64((stages+1)*items); got != want {
+					t.Errorf("Steps() = %d, want %d", got, want)
+				}
+				relays := 0
+				for ri, in := range m.Infos() {
+					if in.Links != 2 {
+						continue // an end of the chain: one link, and a task-facing port
+					}
+					relays++
+					if in.Steps != int64(items) || in.GuardEvals != int64(items) || in.Expansions != 0 {
+						t.Errorf("relay region %d: steps %d, guard evaluations %d, expansions %d; want %d, %d, 0",
+							ri, in.Steps, in.GuardEvals, in.Expansions, items, items)
+					}
+				}
+				if relays != stages-1 {
+					t.Errorf("%d relay regions, want %d", relays, stages-1)
+				}
+				if n := m.PlansCompiled(); n != 2 {
+					t.Errorf("PlansCompiled() = %d, want 2 (the two ends; relays compile none)", n)
+				}
+			})
 		}
 	}
 }
@@ -284,28 +392,49 @@ func TestRegionsAOT(t *testing.T) {
 
 // TestRegionsClosedCycleLivelocks: a closed loop of cut buffers with no
 // task anywhere on it spins a token through pure relay regions forever.
-// The nudge walk must hit its budget and break the group with
-// ErrLivelock instead of hanging NewMultiRegions — the region analogue
-// of the single engine's τ-burst guard.
+// The nudge walk (synchronously) or the workers' τ-burst accounting (on a
+// runtime) must hit its budget and break the whole connector with
+// ErrLivelock instead of hanging NewMultiRegions — the region analogue of
+// the single engine's τ-burst guard. An independent Fifo1 lane of the same
+// connector shows the break: its receive fails with ErrLivelock.
 func TestRegionsClosedCycleLivelocks(t *testing.T) {
-	u := ca.NewUniverse()
-	x, y := u.Port("x"), u.Port("y")
-	auts := []*ca.Automaton{prim.Fifo1Full(u, x, y, prim.Token{}), prim.Fifo1(u, y, x)}
-	done := make(chan *engine.Multi, 1)
-	go func() {
-		m, err := engine.NewMultiRegions(u, auts, engine.Options{MaxTauBurst: 1000})
-		if err != nil {
-			t.Errorf("construction failed: %v", err)
-		}
-		done <- m
-	}()
-	select {
-	case m := <-done:
-		if m != nil {
-			m.Close()
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("NewMultiRegions hung on a closed buffer cycle")
+	for _, lane := range []string{"sync", "runtime"} {
+		t.Run(lane, func(t *testing.T) {
+			u := ca.NewUniverse()
+			x, y := u.Port("x"), u.Port("y")
+			a, b := u.Port("a"), u.Port("b")
+			u.SetDir(a, ca.DirSource)
+			u.SetDir(b, ca.DirSink)
+			auts := []*ca.Automaton{prim.Fifo1Full(u, x, y, prim.Token{}), prim.Fifo1(u, y, x), prim.Fifo1(u, a, b)}
+			opts := engine.Options{MaxTauBurst: 1000}
+			if lane == "runtime" {
+				rt := engine.NewRuntime(1)
+				defer rt.Close()
+				opts.Runtime = rt
+			}
+			var m *engine.Multi
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				if m, err = engine.NewMultiRegions(u, auts, opts); err != nil {
+					done <- fmt.Errorf("construction failed: %w", err)
+					return
+				}
+				_, err = m.Recv(b)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, engine.ErrLivelock) {
+					t.Errorf("lane recv = %v, want ErrLivelock", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a closed buffer cycle hung the connector instead of breaking it")
+			}
+			if m != nil {
+				m.Close() // before the runtime's deferred Close
+			}
+		})
 	}
 }
 

@@ -427,7 +427,7 @@ func (w *worker) loop() {
 func (w *worker) runEngine(e *Engine) {
 	e.mu.Lock()
 	if !e.closed && e.broken == nil {
-		e.fireLoop(pumpTrigger)
+		e.pass()
 		e.noteTauProgress()
 	}
 	// Flush nudges even from a pass that broke the engine: link-state

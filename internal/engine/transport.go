@@ -136,7 +136,7 @@ func (e *Engine) pumpNudge() {
 		rt.wake(e)
 		return
 	}
-	e.fireLoop(pumpTrigger)
+	e.pass()
 	e.flushSignals()
 	e.walk()
 }

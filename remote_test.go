@@ -559,6 +559,112 @@ func TestRemoteLoopbackRuntime(t *testing.T) {
 	waitSteps(t, pair, wantSteps)
 }
 
+// relayChainProto is a chain of four cut buffers: the three vertices
+// between them are relay regions (a synthesized node and nothing else).
+const relayChainProto = `Chain(a;b) =
+    prod (i:1..1) Fifo1(a;m1)
+    mult prod (i:1..1) Fifo1(m1;m2)
+    mult prod (i:1..1) Fifo1(m2;m3)
+    mult prod (i:1..1) Fifo1(m3;b)
+`
+
+// driveRelayChain sends items ints into a and returns what b delivers;
+// batch <= 1 drives the scalar entry points, larger batches the batched
+// ones (ragged tail included).
+func driveRelayChain(t *testing.T, get func(param string, idx int) *reo.Instance, items, batch int) []any {
+	t.Helper()
+	sent := make(chan error, 1)
+	go func() {
+		out := get("a", 0).Outport("a")
+		for k := 0; k < items; {
+			m := min(max(batch, 1), items-k)
+			vals := make([]any, m)
+			for j := range vals {
+				vals[j] = k + j
+			}
+			var err error
+			if batch <= 1 {
+				err = out.Send(vals[0])
+			} else {
+				err = out.SendBatch(vals)
+			}
+			if err != nil {
+				sent <- err
+				return
+			}
+			k += m
+		}
+		sent <- nil
+	}()
+	in := get("b", 0).Inport("b")
+	var got []any
+	for len(got) < items {
+		buf := make([]any, min(max(batch, 1), items-len(got)))
+		n, err := 1, error(nil)
+		if batch <= 1 {
+			buf[0], err = in.Recv()
+		} else {
+			n, err = in.RecvBatch(buf)
+		}
+		if err != nil {
+			t.Fatalf("b recv: %v", err)
+		}
+		got = append(got, buf[:n]...)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("a send: %v", err)
+	}
+	return got
+}
+
+// TestRemoteRelayChain splits a chain so that every relay region has a
+// half link on each side: a relay forwards from and to the wire as it
+// does between in-process neighbors, so the delivered sequence and the
+// step total equal the in-process run's, and each relay counts one step
+// and one guard evaluation per item and expands nothing.
+func TestRemoteRelayChain(t *testing.T) {
+	const items = 120
+	for _, batch := range []int{1, 8} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			prog := reo.MustCompile(relayChainProto)
+			ref, err := prog.MustConnector("Chain").Connect(nil,
+				reo.WithPartitioning(reo.PartitionRegions), reo.WithSeed(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOut := driveRelayChain(t, func(string, int) *reo.Instance { return ref }, items, batch)
+			wantSteps := settleSteps(ref.Steps)
+			ref.Close()
+
+			pair := connectRemotePair(t, prog, "Chain", nil, reo.WithSeed(7))
+			if pair.wireLinks != 4 {
+				t.Fatalf("split cut %d cross-node links, want 4", pair.wireLinks)
+			}
+			out := driveRelayChain(t, pair.inst, items, batch)
+			if !reflect.DeepEqual(out, wantOut) {
+				t.Errorf("b sequence diverged:\n remote %v\n local  %v\n%s", out, wantOut, reproCmd(t, 7))
+			}
+			waitSteps(t, pair, wantSteps)
+			relays := 0
+			for _, inst := range []*reo.Instance{pair.a, pair.b} {
+				for ri, r := range inst.Regions() {
+					if r.Links != 2 {
+						continue
+					}
+					relays++
+					if r.Steps != items || r.GuardEvals != items || r.Expansions != 0 {
+						t.Errorf("relay region %d: steps %d, guard evaluations %d, expansions %d; want %d, %d, 0",
+							ri, r.Steps, r.GuardEvals, r.Expansions, items, items)
+					}
+				}
+			}
+			if relays != 3 {
+				t.Errorf("%d relay regions across the nodes, want 3", relays)
+			}
+		})
+	}
+}
+
 // TestRemoteDisconnectedComponents covers the degenerate split: the
 // pipeline's regions are disconnected components (no cut links at all),
 // so the two nodes never open a connection, yet placement, port routing
