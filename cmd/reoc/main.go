@@ -138,6 +138,11 @@ func main() {
 		if workers != 0 {
 			fmt.Printf("\n# worker assignment (%d workers):\n", inst.Workers())
 			for ri, info := range inst.Regions() {
+				if info.Constituents == 0 {
+					// No engine: a relay spliced into its chain's link.
+					fmt.Printf("  region %d -> spliced relay (no engine)\n", ri)
+					continue
+				}
 				fmt.Printf("  region %d -> worker %d (%d constituents, %d link endpoints)\n",
 					ri, info.Worker, info.Constituents, info.Links)
 			}

@@ -27,12 +27,14 @@ type Multi struct {
 	owner   []int // port -> engine index (-1 if unknown)
 
 	// regions marks a region-partitioned coordinator; plan and links
-	// describe the cut (diagnostics). With a placement, engines and
-	// links keep plan-aligned indices: entries hosted by another
-	// process are nil.
+	// describe the cut (diagnostics). engines and links keep
+	// plan-aligned indices: entries hosted by another process are nil,
+	// and so are the relay regions and links of a spliced relay chain,
+	// whose one link folds lists.
 	regions bool
 	plan    *ca.RegionPlan
 	links   []*link
+	folds   []fold
 	group   *regionGroup
 	// transport is the placement's link transport (nil for a fully
 	// local coordinator); closed by Close after the engines.
@@ -100,7 +102,8 @@ func NewMulti(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Multi, error
 	return m, nil
 }
 
-// Partitions returns the number of independent engines.
+// Partitions returns the number of partitions planned, with or without
+// an engine in this process (see Infos).
 func (m *Multi) Partitions() int { return len(m.engines) }
 
 // Workers returns the size of the worker pool region engines fire on (0
@@ -141,9 +144,9 @@ type PartitionInfo struct {
 	Steps, Expansions, GuardEvals int64
 }
 
-// Infos returns one statistics snapshot per partition.
 // live returns the partition engines hosted in this process (every
-// engine for an unplaced coordinator).
+// engine for an unplaced coordinator), without the relay regions spliced
+// into a link.
 func (m *Multi) live() []*Engine {
 	if m.group != nil {
 		return m.group.engines
@@ -151,6 +154,10 @@ func (m *Multi) live() []*Engine {
 	return m.engines
 }
 
+// Infos returns one statistics snapshot per partition, in plan order. A
+// region without an engine here — hosted by another process, or a relay
+// spliced into a link, whose steps its chain's consuming region counts —
+// reports an empty entry with Worker -1.
 func (m *Multi) Infos() []PartitionInfo {
 	out := make([]PartitionInfo, len(m.engines))
 	for i, e := range m.engines {
@@ -180,7 +187,7 @@ func (m *Multi) engineFor(p ca.PortID) (*Engine, error) {
 	}
 	e := m.engines[m.owner[p]]
 	if e == nil {
-		return nil, fmt.Errorf("engine: port %d is hosted by remote region %d", p, m.owner[p])
+		return nil, fmt.Errorf("engine: port %d has no engine here: region %d is a remote region or a relay spliced into a link", p, m.owner[p])
 	}
 	return e, nil
 }
@@ -257,8 +264,8 @@ func (m *Multi) Close() error {
 // Reset returns a closed coordinator to its as-constructed state so the
 // instance can be recycled instead of rebuilt: engines are reset (see
 // Engine.Reset), link queues emptied and re-seeded from the region
-// plan, and the regions re-settled — re-attached to the shared Runtime,
-// or settled synchronously. Fails if the coordinator is still open, or
+// plan (a spliced link from its chain), and the regions re-settled —
+// re-attached to the shared Runtime, or settled synchronously. Fails if the coordinator is still open, or
 // if it owns a dedicated worker pool (that pool was torn down by Close;
 // use a shared Runtime for instances meant to be recycled).
 func (m *Multi) Reset() error {
@@ -275,23 +282,27 @@ func (m *Multi) Reset() error {
 		// Close; the peers' halves of the links are gone with them.
 		return errors.New("engine: reset of a remote-placed coordinator")
 	}
-	if len(m.engines) > 0 {
-		if g := m.engines[0].group; g != nil {
-			// Join stale break-propagation goroutines and zero the
-			// τ-budget completion counter before touching any engine.
-			g.breakWG.Wait()
-			g.completions.Store(0)
-		}
+	if g := m.group; g != nil {
+		// Join stale break-propagation goroutines and zero the τ-budget
+		// completion counter before touching any engine.
+		g.breakWG.Wait()
+		g.completions.Store(0)
 	}
-	for _, e := range m.engines {
+	live := m.live()
+	for _, e := range live {
 		if err := e.Reset(); err != nil {
 			return err
 		}
 	}
 	for i, l := range m.links {
-		l.reset(m.plan.Links[i])
+		if l != nil {
+			l.reset(m.plan.Links[i])
+		}
 	}
-	for _, e := range m.engines {
+	for _, f := range m.folds {
+		f.seed(m.plan.Links)
+	}
+	for _, e := range live {
 		e.mu.Lock()
 		if e.linkGate != nil {
 			e.refreshLinks()
@@ -300,9 +311,9 @@ func (m *Multi) Reset() error {
 	}
 	m.closed = false
 	if m.sched != nil {
-		m.sched.attach(m.engines)
+		m.sched.attach(live)
 	} else {
-		for _, e := range m.engines {
+		for _, e := range live {
 			e.settle()
 		}
 	}

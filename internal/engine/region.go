@@ -61,6 +61,18 @@ type link struct {
 	// outbound path must send — fresh pushes on a producer-local half,
 	// fresh pops on a consumer-local half.
 	signal *tcpPeer
+
+	// hops is non-zero on a link spliced from a relay chain (spliceChain):
+	// the number of relay regions folded into it. Each item the consumer
+	// pops stands for that many relay steps, which the consumer counts
+	// (hopsOf), so the counters read as the unspliced chain's. seeds holds,
+	// for the chain's initially full buffers in delivery order, the relay
+	// steps each would still have made; seedNext is how many of them the
+	// consumer has popped. Consumer side only, besides construction and
+	// Reset.
+	hops     int64
+	seeds    []int64
+	seedNext int
 }
 
 func newLink(capacity int) *link {
@@ -153,6 +165,18 @@ func (l *link) reset(spec ca.RegionLink) {
 	} else {
 		l.tail.Store(0)
 	}
+}
+
+// hopsOf returns the relay steps the next n pops of a spliced link stand
+// for: hops each, but a seed only the hops the chain still had ahead of
+// it. Consumer side only.
+func (l *link) hopsOf(n int64) int64 {
+	c := int64(0)
+	for ; n > 0 && l.seedNext < len(l.seeds); n-- {
+		c += l.seeds[l.seedNext]
+		l.seedNext++
+	}
+	return c + n*l.hops
 }
 
 // peek returns the value the link currently offers: the head shifted
@@ -367,6 +391,9 @@ func (e *Engine) fireLinkPort(p ca.PortID, deferred bool) {
 			v = l.popDefer()
 		} else {
 			v = l.pop()
+			if l.hops != 0 {
+				e.countHops(l.hopsOf(1))
+			}
 		}
 		if o := e.pend[p]; o != nil && !o.send {
 			o.vals[o.cur] = v
@@ -406,13 +433,33 @@ func (e *Engine) commitLinks(pl *ca.Plan) {
 // commitLinkPort is commitLinks at one fired port p of linkGate.
 func (e *Engine) commitLinkPort(p ca.PortID) {
 	end := e.endAt(p)
-	if end.emit != nil {
-		end.emit.commitPops()
+	if l := end.emit; l != nil {
+		if l.hops != 0 {
+			e.countHops(l.hopsOf(l.pendPop))
+		}
+		l.commitPops()
 	}
 	for _, l := range end.accept {
 		l.commitPushes()
 	}
 	e.refreshEnd(end)
+}
+
+// countHops counts the n relay steps a pop run on a spliced link stood
+// for, as the unspliced relays would have: n steps and, by the relay
+// rule, n guard evaluations, each step traced as internal. The fire that
+// popped counts its own step after these. Called with mu held.
+func (e *Engine) countHops(n int64) {
+	if n == 0 {
+		return
+	}
+	if e.tracer != nil {
+		for i := int64(1); i <= n; i++ {
+			e.tracer(TraceEvent{Step: e.steps.Load() + i, Internal: true})
+		}
+	}
+	e.steps.Add(n)
+	e.guardEvals.Add(n)
 }
 
 // noteLink records that a fire moved an item on l, whose far side is
@@ -434,10 +481,11 @@ func (e *Engine) noteLink(far *Engine, l *link) {
 // an item and every outbound one has room it moves the item, counting the
 // step and the one guard evaluation the fire loop counts per hop (and
 // tracing the hop as internal); then it nudges each neighbor once and
-// refreshes its gate. A relay never expands a state or compiles a plan.
-// It reports its progress as fireLoop does, so the τ-burst budgets of
-// walk and noteTauProgress still break a closed cycle of relays. Called
-// with mu held.
+// refreshes its gate. An inbound link spliced from a relay chain adds the
+// chain's hops to each item's one. A relay never expands a state or
+// compiles a plan. It reports its progress as fireLoop does, so the
+// τ-burst budgets of walk and noteTauProgress still break a closed cycle
+// of relays. Called with mu held.
 func (e *Engine) relayPass() {
 	e.fireCompleted, e.fireLinkActive = false, false
 	if e.broken != nil {
@@ -451,11 +499,18 @@ func (e *Engine) relayPass() {
 		for _, l := range end.accept {
 			l.push(v)
 		}
-		hops++
-		if e.tracer != nil {
-			// Steps change only under mu: this hop is step count + hops.
-			e.tracer(TraceEvent{Step: e.steps.Load() + hops, Internal: true})
+		n := int64(1)
+		if in.hops != 0 {
+			n += in.hopsOf(1)
 		}
+		if e.tracer != nil {
+			// Steps change only under mu: these hops are step count +
+			// hops + 1 .. n.
+			for i := int64(1); i <= n; i++ {
+				e.tracer(TraceEvent{Step: e.steps.Load() + hops + i, Internal: true})
+			}
+		}
+		hops += n
 	}
 	if hops == 0 {
 		return
@@ -652,13 +707,111 @@ func (e *Engine) linkCount() int {
 	return n
 }
 
+// relayChains returns the relay chains of plan that run in this process,
+// each as the plan indices of its links from producer to consumer. A
+// region is a spliceable relay when it holds one synthesized node and
+// nothing else, its port faces no task, it has exactly one inbound and one
+// outbound link, and it and both its neighbors are hosted here. A chain
+// runs from a region that is no such relay through one or more relays to
+// the next region that is none. Left out, so their relays keep relayPass:
+// a chain whose two ends are one region, and a closed cycle of relays,
+// which no other region feeds.
+func relayChains(u *ca.Universe, plan *ca.RegionPlan, hosted func(int) bool) [][]int {
+	// in/out hold a region's one inbound/outbound link, -1 for none and
+	// -2 for several.
+	in := make([]int, len(plan.Regions))
+	out := make([]int, len(plan.Regions))
+	for ri := range in {
+		in[ri], out[ri] = -1, -1
+	}
+	note := func(slot *int, li int) {
+		if *slot == -1 {
+			*slot = li
+		} else {
+			*slot = -2
+		}
+	}
+	for li, lk := range plan.Links {
+		note(&out[lk.From], li)
+		note(&in[lk.To], li)
+	}
+	relay := make([]bool, len(plan.Regions))
+	for ri, spec := range plan.Regions {
+		relay[ri] = len(spec.Auts) == 0 && len(spec.Nodes) == 1 &&
+			u.DirOf(spec.Nodes[0]) == ca.DirNone && in[ri] >= 0 && out[ri] >= 0 &&
+			hosted(ri) && hosted(plan.Links[in[ri]].From) && hosted(plan.Links[out[ri]].To)
+	}
+	var chains [][]int
+	for li, lk := range plan.Links {
+		if relay[lk.From] || !relay[lk.To] {
+			continue
+		}
+		chain := []int{li}
+		for r := lk.To; relay[r]; r = plan.Links[out[r]].To {
+			chain = append(chain, out[r])
+		}
+		if plan.Links[chain[len(chain)-1]].To != lk.From {
+			chains = append(chains, chain)
+		}
+	}
+	return chains
+}
+
+// fold is a link spliced from a relay chain, with the plan indices of the
+// chain's links (from producer to consumer) that Reset re-seeds it from.
+type fold struct {
+	l     *link
+	chain []int
+}
+
+// spliceChain builds the one link standing for a relay chain: from the
+// producer's port on the chain's first link to the consumer's port on its
+// last, holding as many items as the chain's buffers together, and counting
+// each item's relay hops on the consuming end (link.hops).
+func (m *Multi) spliceChain(chain []int) {
+	first, last := m.plan.Links[chain[0]], m.plan.Links[chain[len(chain)-1]]
+	capacity := 0
+	for _, li := range chain {
+		capacity += m.plan.Links[li].Capacity
+	}
+	l := newLink(capacity)
+	l.hops = int64(len(chain) - 1)
+	l.src, l.srcPort = m.engines[first.From], first.SrcPort
+	l.dst, l.dstPort = m.engines[last.To], last.DstPort
+	l.src.addAccept(l.srcPort, l)
+	l.dst.addEmit(l.dstPort, l)
+	f := fold{l: l, chain: chain}
+	f.seed(m.plan.Links)
+	m.folds = append(m.folds, f)
+}
+
+// seed empties the folded link and loads the chain's initially full
+// buffers, the one nearest the consumer first — the order the settled
+// chain delivers them in — each with the relay hops it has ahead. Both
+// sides must be quiescent, as for link.reset.
+func (f fold) seed(links []ca.RegionLink) {
+	l := f.l
+	l.reset(ca.RegionLink{})
+	l.seeds, l.seedNext = l.seeds[:0], 0
+	for i := len(f.chain) - 1; i >= 0; i-- {
+		if lk := links[f.chain[i]]; lk.Full {
+			l.buf[l.tail.Load()] = lk.Initial
+			l.tail.Add(1)
+			l.seeds = append(l.seeds, int64(len(f.chain)-1-i))
+		}
+	}
+}
+
 // NewMultiRegions partitions the constituents into asynchronous regions
 // (ca.PlanRegions): buffer-shaped constituents whose sides attach to
 // different regions become bounded links, every other constituent joins
 // the region of its shared ports, and link endpoints without a
 // constituent get synthesized single-port node automata. Each region is
 // an independently locked engine; cross-region coordination happens only
-// through the links, so regions fire concurrently.
+// through the links, so regions fire concurrently. A chain of relay
+// regions between two other regions of this process is spliced into one
+// link (relayChains): the relays get no engine, as a remote region gets
+// none, while the plan and its region indices stay as planned.
 //
 // Compared to NewMulti (connected components), the region cut also
 // splits connectors that are one component: any full buffer decouples
@@ -708,6 +861,20 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 		tr = memTransport{}
 	}
 
+	// spliced marks the relay regions and onChain the links that a relay
+	// chain's one link stands for.
+	chains := relayChains(u, plan, hosted)
+	spliced := make([]bool, len(plan.Regions))
+	onChain := make([]bool, len(plan.Links))
+	for _, ch := range chains {
+		for i, li := range ch {
+			onChain[li] = true
+			if i > 0 {
+				spliced[plan.Links[li].From] = true
+			}
+		}
+	}
+
 	group := &regionGroup{}
 	m := &Multi{owner: make([]int, u.NumPorts()), regions: true, plan: plan,
 		group: group, transport: placed.Transport}
@@ -727,7 +894,7 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 		for _, a := range sub {
 			a.Ports.ForEach(func(p ca.PortID) { m.owner[p] = ri })
 		}
-		if !hosted(ri) {
+		if !hosted(ri) || spliced[ri] {
 			m.engines = append(m.engines, nil)
 			continue
 		}
@@ -748,6 +915,10 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 	}
 
 	for li, lk := range plan.Links {
+		if onChain[li] {
+			m.links = append(m.links, nil)
+			continue
+		}
 		prodLocal, consLocal := hosted(lk.From), hosted(lk.To)
 		if !prodLocal && !consLocal {
 			// Both sides remote: the link is some other process's concern.
@@ -772,6 +943,9 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 		} else {
 			m.links = append(m.links, cons)
 		}
+	}
+	for _, ch := range chains {
+		m.spliceChain(ch)
 	}
 
 	for ri, e := range m.engines {

@@ -115,10 +115,11 @@ func TestRegionsInitiallyFullLink(t *testing.T) {
 }
 
 // TestRegionsNodeRelay: a pure buffer pipeline (only node regions) must
-// relay values across multiple pump-driven hops. Traced, every step is
-// reported once, each region numbers its steps 1, 2, 3, ... with no gap,
-// and the relay node's hops — the only steps no task operation takes part
-// in — are the internal ones.
+// relay values across the link its relay node is spliced into. The relay
+// keeps its place in the plan but gets no engine. Traced, every step is
+// reported once and each region numbers its steps 1, 2, 3, ... with no
+// gap: the relay's hops — the only steps no task operation takes part in,
+// so the internal ones — are counted by b's region as it pops each item.
 func TestRegionsNodeRelay(t *testing.T) {
 	u := ca.NewUniverse()
 	a, mid, b := u.Port("a"), u.Port("m"), u.Port("b")
@@ -151,14 +152,16 @@ func TestRegionsNodeRelay(t *testing.T) {
 	}
 	m.Close() // takes every region's lock: the last step is counted and traced
 	events := rec.Events()
-	if int64(len(events)) != m.Steps() {
-		t.Fatalf("%d trace events for %d steps", len(events), m.Steps())
+	if int64(len(events)) != m.Steps() || m.Steps() != 3*rounds {
+		t.Fatalf("%d trace events for %d steps, want %d of each", len(events), m.Steps(), 3*rounds)
 	}
 	steps := map[string][]int64{}
+	hops := 0
 	for _, ev := range events {
-		who := "relay"
+		who := "b" // a hop, counted by the consuming end
 		switch {
 		case ev.Internal && len(ev.Ports) == 0:
+			hops++
 		case !ev.Internal && len(ev.Ports) == 1:
 			who = ev.Ports[0].Name
 		default:
@@ -166,25 +169,32 @@ func TestRegionsNodeRelay(t *testing.T) {
 		}
 		steps[who] = append(steps[who], ev.Step)
 	}
-	want := make([]int64, rounds)
-	for i := range want {
-		want[i] = int64(i + 1)
+	if hops != rounds {
+		t.Errorf("%d internal hops, want %d", hops, rounds)
 	}
-	for _, who := range []string{"a", "relay", "b"} {
+	for who, n := range map[string]int{"a": rounds, "b": 2 * rounds} {
+		want := make([]int64, n)
+		for i := range want {
+			want[i] = int64(i + 1)
+		}
 		got := steps[who]
 		slices.Sort(got)
 		if !slices.Equal(got, want) {
-			t.Errorf("%s steps = %v, want 1..%d once each", who, got, rounds)
+			t.Errorf("%s steps = %v, want 1..%d once each", who, got, n)
 		}
+	}
+	if in := m.Infos()[1]; in != (engine.PartitionInfo{Worker: -1}) {
+		t.Errorf("spliced relay region info = %+v, want an empty entry with Worker -1", in)
 	}
 }
 
 // TestRegionsRelayCounters streams items through the 8-stage chain, whose
-// seven middle regions are relays, scalar and in batches, synchronously
-// and on a 2-worker runtime. Every lane counts the same: one step per
-// region an item enters, and on each relay one step and one guard
-// evaluation per item, however the hops of neighboring regions overlap
-// in time, and no expansion.
+// seven middle regions are relays spliced into one 8-place link, scalar
+// and in batches, synchronously and on a 2-worker runtime. Every lane
+// counts what the unspliced chain counted: one step per region an item
+// enters, the seven relay hops (one step and one guard evaluation each)
+// counted by the consuming end as it pops, however the pops batch, and no
+// expansion on a relay. The relays keep their plan entries but no engine.
 func TestRegionsRelayCounters(t *testing.T) {
 	const stages = 8
 	for _, lane := range []string{"sync", "runtime"} {
@@ -230,22 +240,37 @@ func TestRegionsRelayCounters(t *testing.T) {
 				if got, want := m.Steps(), int64((stages+1)*items); got != want {
 					t.Errorf("Steps() = %d, want %d", got, want)
 				}
-				relays := 0
-				for ri, in := range m.Infos() {
-					if in.Links != 2 {
-						continue // an end of the chain: one link, and a task-facing port
+				hops := int64((stages - 1) * items)
+				if k == 1 {
+					// Scalar: each end evaluates one guard per item, as
+					// each relay hop counts one.
+					if got, want := m.GuardEvals(), int64((stages+1)*items); got != want {
+						t.Errorf("GuardEvals() = %d, want %d", got, want)
 					}
-					relays++
-					if in.Steps != int64(items) || in.GuardEvals != int64(items) || in.Expansions != 0 {
-						t.Errorf("relay region %d: steps %d, guard evaluations %d, expansions %d; want %d, %d, 0",
-							ri, in.Steps, in.GuardEvals, in.Expansions, items, items)
+				} else if got := m.GuardEvals(); got < hops {
+					t.Errorf("GuardEvals() = %d, want at least the %d relay hops", got, hops)
+				}
+				spliced, ends := 0, 0
+				for ri, in := range m.Infos() {
+					switch {
+					case in == engine.PartitionInfo{Worker: -1}:
+						spliced++
+					case in.Links != 1:
+						t.Errorf("region %d: %d link endpoints, want 1 (a chain end) or none (a spliced relay)", ri, in.Links)
+					case in.Steps == int64(items):
+						ends++ // the producing end
+					case in.Steps == int64(items)+hops && in.GuardEvals >= hops:
+						ends++ // the consuming end, counting the hops
+					default:
+						t.Errorf("chain end %d: steps %d, guard evaluations %d; want %d, or %d and at least %d",
+							ri, in.Steps, in.GuardEvals, items, int64(items)+hops, hops)
 					}
 				}
-				if relays != stages-1 {
-					t.Errorf("%d relay regions, want %d", relays, stages-1)
+				if spliced != stages-1 || ends != 2 {
+					t.Errorf("%d spliced relay regions and %d chain ends, want %d and 2", spliced, ends, stages-1)
 				}
 				if n := m.PlansCompiled(); n != 2 {
-					t.Errorf("PlansCompiled() = %d, want 2 (the two ends; relays compile none)", n)
+					t.Errorf("PlansCompiled() = %d, want 2 (the two ends)", n)
 				}
 			})
 		}
@@ -468,4 +493,184 @@ func TestRegionsInfos(t *testing.T) {
 	if m.Plan() == nil || m.Plan().NumCut() != 1 {
 		t.Errorf("plan = %+v, want 1 cut buffer", m.Plan())
 	}
+}
+
+// TestRegionsSpliceSeedOrder: a chain's initially full buffers seed its
+// spliced link in the order the settled chain delivers them — the one
+// nearest the consumer first — and Reset re-seeds it so. Each seed counts
+// the relay hops it had ahead of it, so a drained chain counts what the
+// unspliced one did.
+func TestRegionsSpliceSeedOrder(t *testing.T) {
+	const stages, items = 8, 50
+	u := ca.NewUniverse()
+	ports := make([]ca.PortID, stages+1)
+	for i := range ports {
+		ports[i] = u.Port(fmt.Sprintf("p%d", i))
+	}
+	u.SetDir(ports[0], ca.DirSource)
+	u.SetDir(ports[stages], ca.DirSink)
+	var auts []*ca.Automaton
+	for i := 0; i < stages; i++ {
+		if i == 2 || i == 5 {
+			auts = append(auts, prim.Fifo1Full(u, ports[i], ports[i+1], fmt.Sprintf("seed%d", i)))
+		} else {
+			auts = append(auts, prim.Fifo1(u, ports[i], ports[i+1]))
+		}
+	}
+	m, err := engine.NewMultiRegions(u, auts, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for life := 0; life < 2; life++ {
+		go func() {
+			for i := 0; i < items; i++ {
+				if m.Send(ports[0], i) != nil {
+					return
+				}
+			}
+		}()
+		want := []any{"seed5", "seed2"}
+		for i := 0; i < items; i++ {
+			want = append(want, i)
+		}
+		for i, w := range want {
+			if v, err := m.Recv(ports[stages]); err != nil || v != w {
+				t.Fatalf("life %d: recv %d = %v, %v; want %v", life, i, v, err, w)
+			}
+		}
+		m.Close()
+		// A sent item takes 9 steps; the seed of link 5 hops over two
+		// relays and fires the sink, the one of link 2 over five.
+		if got, want := m.Steps(), int64(9*items+3+6); got != want {
+			t.Errorf("life %d: Steps() = %d, want %d", life, got, want)
+		}
+		if err := m.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRegionsSpliceKeepsRelays: only a relay with one inbound and one
+// outbound link between two other regions of the process splices. A
+// fan-out relay, a relay on a loop out of and back into one region, and a
+// closed cycle of relays keep their engines and relayPass; a chain ending
+// at a fan-out relay still splices, and that relay counts the chain's hops
+// with its own.
+func TestRegionsSpliceKeepsRelays(t *testing.T) {
+	const items = 40
+	t.Run("fan-out", func(t *testing.T) {
+		// a → m1 → m2 ⇉ {x, y}: m1 splices into a link a → m2, m2 fans out.
+		u := ca.NewUniverse()
+		a, m1, m2, x, y := u.Port("a"), u.Port("m1"), u.Port("m2"), u.Port("x"), u.Port("y")
+		u.SetDir(a, ca.DirSource)
+		u.SetDir(x, ca.DirSink)
+		u.SetDir(y, ca.DirSink)
+		auts := []*ca.Automaton{prim.Fifo1(u, a, m1), prim.Fifo1(u, m1, m2), prim.Fifo1(u, m2, x), prim.Fifo1(u, m2, y)}
+		m, err := engine.NewMultiRegions(u, auts, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		go func() {
+			for i := 0; i < items; i++ {
+				if m.Send(a, i) != nil {
+					return
+				}
+			}
+		}()
+		for i := 0; i < items; i++ {
+			for _, p := range []ca.PortID{x, y} {
+				if v, err := m.Recv(p); err != nil || v != i {
+					t.Fatalf("recv %d at %s = %v, %v", i, u.Name(p), v, err)
+				}
+			}
+		}
+		m.Close()
+		spliced, fanOut := 0, 0
+		for ri, in := range m.Infos() {
+			switch {
+			case in == engine.PartitionInfo{Worker: -1}:
+				spliced++
+			case in.Links == 3:
+				fanOut++
+				// Its own hop and m1's, one guard evaluation each.
+				if in.Steps != 2*items || in.GuardEvals != 2*items || in.Expansions != 0 {
+					t.Errorf("fan-out relay %d: steps %d, guard evaluations %d, expansions %d; want %d, %d, 0",
+						ri, in.Steps, in.GuardEvals, in.Expansions, 2*items, 2*items)
+				}
+			}
+		}
+		if spliced != 1 || fanOut != 1 {
+			t.Errorf("%d spliced relays and %d fan-out relays, want 1 and 1", spliced, fanOut)
+		}
+		if got, want := m.Steps(), int64(5*items); got != want {
+			t.Errorf("Steps() = %d, want %d (a, m1, m2, x, y)", got, want)
+		}
+	})
+	t.Run("loop", func(t *testing.T) {
+		// One region fires a with x (pushing into x → m) and y (draining
+		// the seed m → y hands back): the relay m leaves and re-enters
+		// that region, so there is no second end to splice to.
+		u := ca.NewUniverse()
+		a, x, mid, y := u.Port("a"), u.Port("x"), u.Port("m"), u.Port("y")
+		u.SetDir(a, ca.DirSource)
+		auts := []*ca.Automaton{prim.Sync(u, a, x), prim.SyncDrain(u, a, y), prim.Fifo1(u, x, mid), prim.Fifo1Full(u, mid, y, "seed")}
+		m, err := engine.NewMultiRegions(u, auts, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for i := 0; i < items; i++ {
+			if err := m.Send(a, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Close()
+		relays := 0
+		for ri, in := range m.Infos() {
+			if in == (engine.PartitionInfo{Worker: -1}) {
+				t.Errorf("region %d spliced on a loop back into its producer", ri)
+			}
+			if in.Links == 2 && in.Constituents == 1 {
+				relays++
+				if in.Steps != items {
+					t.Errorf("relay region %d: %d steps, want %d", ri, in.Steps, items)
+				}
+			}
+		}
+		if relays != 1 {
+			t.Errorf("%d relay regions, want 1", relays)
+		}
+	})
+	t.Run("cycle", func(t *testing.T) {
+		// The closed relay cycle of TestRegionsClosedCycleLivelocks: no
+		// other region feeds it, so both relays keep their engines and the
+		// walk's budget breaks the connector.
+		u := ca.NewUniverse()
+		x, y, a, b := u.Port("x"), u.Port("y"), u.Port("a"), u.Port("b")
+		u.SetDir(a, ca.DirSource)
+		u.SetDir(b, ca.DirSink)
+		auts := []*ca.Automaton{prim.Fifo1Full(u, x, y, prim.Token{}), prim.Fifo1(u, y, x), prim.Fifo1(u, a, b)}
+		m, err := engine.NewMultiRegions(u, auts, engine.Options{MaxTauBurst: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		relays := 0
+		for ri, in := range m.Infos() {
+			if in == (engine.PartitionInfo{Worker: -1}) {
+				t.Errorf("region %d of a closed relay cycle spliced", ri)
+			}
+			if in.Links == 2 {
+				relays++
+			}
+		}
+		if relays != 2 {
+			t.Errorf("%d relay regions, want 2", relays)
+		}
+		if _, err := m.Recv(b); !errors.Is(err, engine.ErrLivelock) {
+			t.Errorf("lane recv = %v, want ErrLivelock", err)
+		}
+	})
 }

@@ -451,8 +451,9 @@ func livelockIsolation(t *testing.T, workers int) {
 // --- local-continuation tests -------------------------------------------
 
 // fifoChain builds stages Fifo1 buffers in a row between a and b. Every
-// buffer is cut, so the chain has stages links and stages+1 regions, and
-// with their capacity of 1 every hop of an item is a wake-up.
+// buffer is cut, so the chain plans stages links and stages+1 regions;
+// the stages-1 relay regions between them are spliced into one link of
+// capacity stages, so an item crosses from a's region to b's in one hop.
 func fifoChain(t *testing.T, stages int, opts engine.Options) (*engine.Multi, ca.PortID, ca.PortID) {
 	t.Helper()
 	u := ca.NewUniverse()
@@ -472,6 +473,39 @@ func fifoChain(t *testing.T, stages int, opts engine.Options) (*engine.Multi, ca
 	}
 	if m.Partitions() != stages+1 {
 		t.Fatalf("partitions = %d, want %d", m.Partitions(), stages+1)
+	}
+	return m, ports[0], ports[stages]
+}
+
+// syncStageChain is fifoChain with a Sync after every buffer: each stage
+// region holds a constituent, so no relay splices, the chain keeps its
+// stages links of capacity 1, and every hop of an item is a wake-up of
+// the next stage's region.
+func syncStageChain(t *testing.T, stages int, opts engine.Options) (*engine.Multi, ca.PortID, ca.PortID) {
+	t.Helper()
+	u := ca.NewUniverse()
+	ports := make([]ca.PortID, stages+1)
+	for i := range ports {
+		ports[i] = u.Port(fmt.Sprintf("p%d", i))
+	}
+	u.SetDir(ports[0], ca.DirSource)
+	u.SetDir(ports[stages], ca.DirSink)
+	var auts []*ca.Automaton
+	for i := 0; i < stages; i++ {
+		s := u.Port(fmt.Sprintf("s%d", i))
+		auts = append(auts, prim.Fifo1(u, ports[i], s), prim.Sync(u, s, ports[i+1]))
+	}
+	m, err := engine.NewMultiRegions(u, auts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Partitions() != stages+1 || len(m.Infos()) != stages+1 {
+		t.Fatalf("partitions = %d, want %d", m.Partitions(), stages+1)
+	}
+	for ri, in := range m.Infos() {
+		if in.Constituents == 0 {
+			t.Fatalf("region %d has no engine: a stage holding a Sync was spliced", ri)
+		}
 	}
 	return m, ports[0], ports[stages]
 }
@@ -508,14 +542,15 @@ func streamBatches(t *testing.T, m *engine.Multi, a, b ca.PortID, batches, k int
 	return sent
 }
 
-// TestRuntimeContinuesLocally: streaming batches through the 8-stage
-// chain, the workers must find most of their passes on their own run
-// lists, and what went through the injection queue must be accounted for
-// by the task operations and the parks, not grow with the hops.
+// TestRuntimeContinuesLocally: streaming batches through an 8-stage chain
+// whose stages hold a constituent (so every hop is a region pass), the
+// workers must find most of their passes on their own run lists, and what
+// went through the injection queue must be accounted for by the task
+// operations and the parks, not grow with the hops.
 func TestRuntimeContinuesLocally(t *testing.T) {
 	const stages, batches, k = 8, 40, 64
 	rt := engine.NewRuntime(2)
-	m, a, b := fifoChain(t, stages, engine.Options{Runtime: rt})
+	m, a, b := syncStageChain(t, stages, engine.Options{Runtime: rt})
 	sent := streamBatches(t, m, a, b, batches, k)
 	if err := waitForErr(t, sent, 5*time.Second, "sender"); err != nil {
 		t.Fatal(err)
@@ -551,7 +586,9 @@ func TestRuntimeContinuesLocally(t *testing.T) {
 // 8-stage chain are carried by the tasks whose operations moved them —
 // each finished Send or Recv walks the regions it woke — so they arrive
 // in order while the workers run fewer passes than there are items (a
-// pool that ran every hop would run about one per region per item).
+// pool that ran every hop would run about one per region per item). With
+// the relays spliced, an item costs about two passes in all (one per
+// chain end; 16 when every relay ran its own).
 func TestRuntimeCallerRunsScalarChain(t *testing.T) {
 	const stages, items = 8, 10000
 	rt := engine.NewRuntime(2)
@@ -589,6 +626,33 @@ func TestRuntimeCallerRunsScalarChain(t *testing.T) {
 	}
 	if workers := st.Local + st.Injected + st.Stolen; workers >= items {
 		t.Errorf("workers ran %d passes for %d items, want fewer than one per item", workers, items)
+	}
+	if st.Passes > 3*items {
+		t.Errorf("%d passes for %d items, want at most 3 per item (the relays are spliced)", st.Passes, items)
+	}
+}
+
+// TestRuntimeBatchChainPasses is the batched twin of
+// TestRuntimeCallerRunsScalarChain: batches of 64 streamed through the
+// 8-stage chain cross its one spliced 8-place link in fused bursts, so the
+// whole pool runs at most one pass per item (about 0.25; 9.3 when every
+// relay ran its own).
+func TestRuntimeBatchChainPasses(t *testing.T) {
+	const stages, batches, k = 8, 160, 64
+	rt := engine.NewRuntime(2)
+	m, a, b := fifoChain(t, stages, engine.Options{Runtime: rt})
+	if err := waitForErr(t, streamBatches(t, m, a, b, batches, k), 5*time.Second, "sender"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Steps(), int64(batches*k*(stages+1)); got != want {
+		t.Errorf("Steps() = %d, want %d", got, want)
+	}
+	m.Close()
+	rt.Close()
+	st := rt.Stats()
+	t.Logf("stats: %+v", st)
+	if items := int64(batches * k); st.Passes > items {
+		t.Errorf("%d passes for %d items, want at most one per item (the relays are spliced)", st.Passes, items)
 	}
 }
 

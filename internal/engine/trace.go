@@ -53,9 +53,10 @@ func (e *Engine) SetTracer(t Tracer) {
 	e.tracer = t
 }
 
-// SetTracer installs the hook on every partition.
+// SetTracer installs the hook on every partition hosted in this process.
+// A spliced relay chain's hops are traced by its consuming region.
 func (m *Multi) SetTracer(t Tracer) {
-	for _, e := range m.engines {
+	for _, e := range m.live() {
 		e.SetTracer(t)
 	}
 }

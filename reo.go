@@ -867,8 +867,10 @@ func (i *Instance) GuardEvals() int64 { return i.coord.GuardEvals() }
 // instance (1 in Static mode).
 func (i *Instance) Constituents() int { return len(i.asm.Auts) }
 
-// Partitions returns the number of independent engines (1 unless
-// partitioning is enabled).
+// Partitions returns the number of partitions planned (1 unless
+// partitioning is enabled). Under PartitionRegions that counts a relay
+// region spliced into a link, and one another process hosts, though
+// neither runs an engine here.
 func (i *Instance) Partitions() int {
 	if m, ok := i.coord.(*engine.Multi); ok {
 		return m.Partitions()
@@ -904,9 +906,12 @@ type RegionInfo struct {
 	Steps, Expansions, GuardEvals int64
 }
 
-// Regions returns one entry per independent engine of the instance: the
+// Regions returns one entry per partition of the instance: the
 // synchronous regions under WithPartitioning(PartitionRegions), the
-// components under PartitionComponents, and a single entry otherwise.
+// components under PartitionComponents, and a single entry otherwise. A
+// region with no engine here — a relay spliced into a link, whose hops
+// the chain's consuming region counts, or one another process hosts —
+// has an empty entry with Worker -1.
 func (i *Instance) Regions() []RegionInfo {
 	if m, ok := i.coord.(*engine.Multi); ok {
 		infos := m.Infos()
