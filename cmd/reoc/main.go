@@ -143,8 +143,12 @@ func main() {
 					fmt.Printf("  region %d -> spliced relay (no engine)\n", ri)
 					continue
 				}
-				fmt.Printf("  region %d -> worker %d (%d constituents, %d link endpoints)\n",
-					ri, info.Worker, info.Constituents, info.Links)
+				kind := ""
+				if info.Endpoint {
+					kind = ", endpoint (no plan)"
+				}
+				fmt.Printf("  region %d -> worker %d (%d constituents, %d link endpoints%s)\n",
+					ri, info.Worker, info.Constituents, info.Links, kind)
 			}
 		}
 	case "verify":

@@ -145,14 +145,18 @@ type Engine struct {
 	portBuf  []ca.PortID
 	rng      pickRNG
 	closed   bool
-	// relay marks a region that only forwards: one synthesized node whose
-	// port faces no task, between one inbound and some outbound links.
-	// Its passes run relayPass instead of the fire loop (see pass). It
-	// sits beside closed, in what would be padding, so the fields the
+	// node marks a region that holds one synthesized node and nothing
+	// else, whose transition needs no dispatch (see initLinks): a relay,
+	// whose port faces no task, between one inbound and some outbound
+	// links, or, with endpoint set, a region whose port faces a task and
+	// holds one link to a region of this process. Its passes, and an
+	// endpoint's registrations, run nodePass instead of the fire loop.
+	// Both sit beside closed, in what would be padding, so the fields the
 	// firing path reads keep their offsets.
-	relay  bool
-	broken error
-	tracer Tracer
+	node     bool
+	endpoint bool
+	broken   error
+	tracer   Tracer
 	// enabledBuf is the reusable candidate buffer of fireLoop.
 	enabledBuf []int32
 	// scratch is the op every operation registers in; it is pending only
@@ -282,9 +286,9 @@ func newEngine(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Engine, err
 
 // finish completes construction after any link endpoints are attached:
 // for AOT composition the reachable composite space is expanded now,
-// except on a relay region, which never dispatches.
+// except on a relay or endpoint region, which never dispatches.
 func (e *Engine) finish() error {
-	if e.opts.Composition == AOT && !e.relay {
+	if e.opts.Composition == AOT && !e.node {
 		return e.expandAll()
 	}
 	return nil
@@ -645,15 +649,15 @@ func (e *Engine) admit(p ca.PortID, send bool) error {
 }
 
 // register pends the operation in the scratch slot and runs the fire
-// loop. If the loop finished the operation — its last item fired, or a
-// break failed it — the result (n, out, err) is read back from the slot,
-// still under the lock: no channel, no pooled op, nothing another
-// goroutine could observe. Otherwise the operation, with whatever part of
-// its batch already moved, migrates to a pooled op that takes the slot's
-// place in pend; that op is returned and the caller parks on its channel.
-// Either way the slot is cleared before unlocking. A region engine then
-// settles the cross-region wake-ups the fires produced (regionWakes)
-// before register returns.
+// loop, or an endpoint region's node pass. If that finished the operation
+// — its last item fired, or a break failed it — the result (n, out, err)
+// is read back from the slot, still under the lock: no channel, no pooled
+// op, nothing another goroutine could observe. Otherwise the operation,
+// with whatever part of its batch already moved, migrates to a pooled op
+// that takes the slot's place in pend; that op is returned and the caller
+// parks on its channel. Either way the slot is cleared before unlocking.
+// A region engine then settles the cross-region wake-ups the fires
+// produced (regionWakes) before register returns.
 func (e *Engine) register(p ca.PortID, send bool, vals []any, v any) (parked *op, n int, out any, err error) {
 	e.mu.Lock()
 	if err := e.admit(p, send); err != nil {
@@ -671,7 +675,11 @@ func (e *Engine) register(p ca.PortID, send bool, vals []any, v any) (parked *op
 	e.pend[p] = o
 	e.pendMask.Set(p)
 	e.registered.Add(1)
-	e.fireLoop(p)
+	if e.endpoint {
+		e.nodePass()
+	} else {
+		e.fireLoop(p)
+	}
 	e.flushSignals()
 	if e.pend[p] == o {
 		parked = e.getOp()
@@ -1124,15 +1132,8 @@ func (e *Engine) Expansions() int64 { return e.expansions.Load() }
 
 // GuardEvals returns how many candidate transitions had their guards
 // evaluated — the dispatch work of the engine. With port-indexed dispatch
-// this is proportional to affected transitions, not state out-degree. A
-// relay region counts one per hop, as the fire loop would, so its count
-// is its step count.
-func (e *Engine) GuardEvals() int64 {
-	if e.relay {
-		return e.steps.Load()
-	}
-	return e.guardEvals.Load()
-}
+// this is proportional to affected transitions, not state out-degree.
+func (e *Engine) GuardEvals() int64 { return e.guardEvals.Load() }
 
 // OpsRegistered returns how many port operations have ever been accepted
 // for pending (a monotonic count; completed operations stay counted).

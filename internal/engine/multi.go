@@ -140,7 +140,12 @@ type PartitionInfo struct {
 	// Worker is the partition's home worker — the one whose inbox its
 	// wake-ups from outside the pool are queued on (any worker may run
 	// it) — or -1 when the coordinator runs synchronously.
-	Worker                        int
+	Worker int
+	// Endpoint marks a region that moves items straight between a task's
+	// operation and its one link, with no dispatch (see initLinks): its
+	// Expansions are 0, and it counts one guard evaluation per run of
+	// items moved.
+	Endpoint                      bool
 	Steps, Expansions, GuardEvals int64
 }
 
@@ -157,7 +162,8 @@ func (m *Multi) live() []*Engine {
 // Infos returns one statistics snapshot per partition, in plan order. A
 // region without an engine here — hosted by another process, or a relay
 // spliced into a link, whose steps its chain's consuming region counts —
-// reports an empty entry with Worker -1.
+// reports an empty entry with Worker -1. An endpoint region reports its
+// one constituent (the synthesized node), its one link and Endpoint set.
 func (m *Multi) Infos() []PartitionInfo {
 	out := make([]PartitionInfo, len(m.engines))
 	for i, e := range m.engines {
@@ -173,6 +179,7 @@ func (m *Multi) Infos() []PartitionInfo {
 			Constituents: len(e.auts),
 			Links:        e.linkCount(),
 			Worker:       worker,
+			Endpoint:     e.endpoint,
 			Steps:        e.Steps(),
 			Expansions:   e.Expansions(),
 			GuardEvals:   e.GuardEvals(),

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -312,8 +313,11 @@ func (e *Engine) addEmit(p ca.PortID, l *link) {
 // addAccept/addEmit calls and before the engine expands any state (the
 // compiled plans depend on which ports are link endpoints). nodeOnly
 // reports that the region holds one synthesized node automaton and no
-// constituent of its own: it is then a relay if its port faces no task
-// and has one inbound and at least one outbound link.
+// constituent of its own. Such a region with one port entry is a relay if
+// the port faces no task and has one inbound and at least one outbound
+// link, and an endpoint if it faces a task — a sending one with exactly
+// one outbound link, a receiving one with exactly one inbound link — and
+// that link's far side is a region of this process. Either runs nodePass.
 func (e *Engine) initLinks(nodeOnly bool) {
 	if len(e.ends) == 0 {
 		return
@@ -323,9 +327,18 @@ func (e *Engine) initLinks(nodeOnly bool) {
 	for i := range e.ends {
 		e.linkGate.Set(e.ends[i].port)
 	}
-	end := &e.ends[0]
-	e.relay = nodeOnly && len(e.ends) == 1 && e.dirOf(end.port) == ca.DirNone &&
-		end.emit != nil && len(end.accept) > 0
+	if end := &e.ends[0]; nodeOnly && len(e.ends) == 1 {
+		relay := false
+		switch e.dirOf(end.port) {
+		case ca.DirNone:
+			relay = end.emit != nil && len(end.accept) > 0
+		case ca.DirSource:
+			e.endpoint = end.emit == nil && len(end.accept) == 1 && end.accept[0].dst != nil
+		case ca.DirSink:
+			e.endpoint = end.emit != nil && len(end.accept) == 0 && end.emit.src != nil
+		}
+		e.node = relay || e.endpoint
+	}
 	e.refreshLinks()
 }
 
@@ -475,73 +488,107 @@ func (e *Engine) noteLink(far *Engine, l *link) {
 	}
 }
 
-// relayPass is the pass of a relay region. Its one transition moves the
-// inbound link's head to every outbound link, with no guard, no action and
-// no other state, so it needs no dispatch: while the inbound link offers
-// an item and every outbound one has room it moves the item, counting the
-// step and the one guard evaluation the fire loop counts per hop (and
-// tracing the hop as internal); then it nudges each neighbor once and
-// refreshes its gate. An inbound link spliced from a relay chain adds the
-// chain's hops to each item's one. A relay never expands a state or
-// compiles a plan. It reports its progress as fireLoop does, so the
-// τ-burst budgets of walk and noteTauProgress still break a closed cycle
-// of relays. Called with mu held.
-func (e *Engine) relayPass() {
+// nodePass is the pass of a relay or endpoint region (see initLinks).
+// Its one transition moves an item from the input — the inbound link, or
+// an endpoint's pending send — to every output — the outbound links, or
+// an endpoint's pending receive — with no guard, no action and no other
+// state, so it needs no dispatch: the pass moves as many items as the
+// input offers and every output takes, as one run that publishes each
+// link once, as a fused burst does. It then nudges each neighbor once and
+// completes an exhausted operation. A node pass never expands a state or
+// compiles a plan.
+//
+// It counts what the fire loop counts: a step per item, plus the relay
+// hops an item popped from a spliced link stands for (countHops); a guard
+// evaluation per run on an endpoint, as for one fire and its fused burst,
+// and per item on a relay, as for its unfused hops. Traced, an item's hops
+// come first, then its own step: the port's event on an endpoint, an
+// internal one on a relay. It reports its progress as fireLoop does, so
+// the τ-burst budgets of walk and noteTauProgress still break a closed
+// cycle of relays. Called with mu held.
+func (e *Engine) nodePass() {
 	e.fireCompleted, e.fireLinkActive = false, false
 	if e.broken != nil {
 		return
 	}
 	end := &e.ends[0]
-	in := end.emit
-	hops := int64(0)
-	for !in.empty() && hasRoom(end.accept) {
-		v := in.pop()
-		for _, l := range end.accept {
-			l.push(v)
-		}
-		n := int64(1)
-		if in.hops != 0 {
-			n += in.hopsOf(1)
-		}
-		if e.tracer != nil {
-			// Steps change only under mu: these hops are step count +
-			// hops + 1 .. n.
-			for i := int64(1); i <= n; i++ {
-				e.tracer(TraceEvent{Step: e.steps.Load() + hops + i, Internal: true})
-			}
-		}
-		hops += n
-	}
-	if hops == 0 {
+	p, in := end.port, end.emit
+	o := e.pend[p]
+	n, _ := e.gateBudget(p, math.MaxInt)
+	if n == 0 {
 		return
 	}
-	e.steps.Add(hops) // and as many guard evaluations: see GuardEvals
-	e.fireLinkActive = true
-	e.noteLink(in.src, in)
-	for _, l := range end.accept {
-		e.noteLink(l.dst, l)
-	}
-	e.refreshEnd(end)
-}
-
-// hasRoom reports whether every link of ls accepts an item. Producer side
-// only.
-func hasRoom(ls []*link) bool {
-	for _, l := range ls {
-		if l.full() {
-			return false
+	for range n {
+		var v any
+		if in != nil {
+			v = in.popDefer()
+		} else {
+			v = o.vals[o.cur]
+		}
+		for _, l := range end.accept {
+			l.pushDefer(v)
+		}
+		if o != nil {
+			if !o.send {
+				o.vals[o.cur] = v
+			}
+			o.cur++
+		}
+		if e.tracer != nil {
+			e.traceNode(in, o, v)
 		}
 	}
-	return true
+	if e.tracer == nil {
+		if in != nil && in.hops != 0 {
+			e.countHops(in.hopsOf(int64(n)))
+		}
+		e.steps.Add(int64(n))
+	}
+	if o != nil {
+		e.guardEvals.Add(1)
+	} else {
+		e.guardEvals.Add(int64(n))
+	}
+	if in != nil {
+		in.commitPops()
+		e.noteLink(in.src, in)
+	}
+	for _, l := range end.accept {
+		l.commitPushes()
+		e.noteLink(l.dst, l)
+	}
+	e.fireLinkActive = true
+	if o != nil {
+		e.fireCompleted = true
+		if o.cur == len(o.vals) {
+			e.complete(p, o, nil)
+		}
+	}
+}
+
+// traceNode counts and traces the step of one item a node pass moved:
+// first the hops it stands for if it came off a spliced link, then its
+// own step, carrying the port's value when operation o took part.
+// Called with mu held.
+func (e *Engine) traceNode(in *link, o *op, v any) {
+	if in != nil && in.hops != 0 {
+		e.countHops(in.hopsOf(1))
+	}
+	ev := TraceEvent{Step: e.steps.Add(1), Internal: o == nil}
+	if o != nil {
+		p := e.ends[0].port
+		ev.Ports = []TracePort{{Name: e.u.Name(p), Dir: e.dirs[p], Val: v}}
+	}
+	e.tracer(ev)
 }
 
 // pass runs one pass of e on behalf of a wake-up rather than a fresh
 // operation — a neighbor's nudge, a transport read, the initial settle:
-// the relay pass on a relay region, the fire loop on any other. Called
-// with mu held.
+// the node pass on a relay or endpoint region, the fire loop on any
+// other. Called with mu held.
 func (e *Engine) pass() {
-	if e.relay {
-		e.relayPass()
+	if e.node {
+		e.nodePass()
 		return
 	}
 	e.fireLoop(pumpTrigger)
@@ -713,7 +760,7 @@ func (e *Engine) linkCount() int {
 // nothing else, its port faces no task, it has exactly one inbound and one
 // outbound link, and it and both its neighbors are hosted here. A chain
 // runs from a region that is no such relay through one or more relays to
-// the next region that is none. Left out, so their relays keep relayPass:
+// the next region that is none. Left out, so their relays keep nodePass:
 // a chain whose two ends are one region, and a closed cycle of relays,
 // which no other region feeds.
 func relayChains(u *ca.Universe, plan *ca.RegionPlan, hosted func(int) bool) [][]int {

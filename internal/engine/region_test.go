@@ -193,8 +193,9 @@ func TestRegionsNodeRelay(t *testing.T) {
 // and in batches, synchronously and on a 2-worker runtime. Every lane
 // counts what the unspliced chain counted: one step per region an item
 // enters, the seven relay hops (one step and one guard evaluation each)
-// counted by the consuming end as it pops, however the pops batch, and no
-// expansion on a relay. The relays keep their plan entries but no engine.
+// counted by the consuming end as it pops, however the pops batch. The
+// relays keep their plan entries but no engine, and the two ends are
+// endpoints, so the instance compiles no plan.
 func TestRegionsRelayCounters(t *testing.T) {
 	const stages = 8
 	for _, lane := range []string{"sync", "runtime"} {
@@ -208,32 +209,9 @@ func TestRegionsRelayCounters(t *testing.T) {
 					opts.Runtime = rt
 				}
 				m, a, b := fifoChain(t, stages, opts)
-				items := 10000
-				if k == 1 {
-					sent := make(chan error, 1)
-					go func() {
-						for i := 0; i < items; i++ {
-							if err := m.Send(a, i); err != nil {
-								sent <- err
-								return
-							}
-						}
-						sent <- nil
-					}()
-					for i := 0; i < items; i++ {
-						if v, err := m.Recv(b); err != nil || v != i {
-							t.Fatalf("recv %d = %v, %v", i, v, err)
-						}
-					}
-					if err := waitForErr(t, sent, 5*time.Second, "sender"); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					batches := items / k
-					items = batches * k
-					if err := waitForErr(t, streamBatches(t, m, a, b, batches, k), 5*time.Second, "sender"); err != nil {
-						t.Fatal(err)
-					}
+				const items = 10000 / 64 * 64
+				if err := waitForErr(t, stream(t, m, a, b, items, k), 5*time.Second, "sender"); err != nil {
+					t.Fatal(err)
 				}
 				// Close waits for every pass to end: the counters are final.
 				m.Close()
@@ -269,8 +247,81 @@ func TestRegionsRelayCounters(t *testing.T) {
 				if spliced != stages-1 || ends != 2 {
 					t.Errorf("%d spliced relay regions and %d chain ends, want %d and 2", spliced, ends, stages-1)
 				}
-				if n := m.PlansCompiled(); n != 2 {
-					t.Errorf("PlansCompiled() = %d, want 2 (the two ends)", n)
+				if n := m.PlansCompiled(); n != 0 {
+					t.Errorf("PlansCompiled() = %d, want 0 (the two ends are endpoints)", n)
+				}
+			})
+		}
+	}
+}
+
+// TestRegionsEndpointRunCounts: an endpoint moves a batch as one run and
+// counts a step per item but one guard evaluation for the run, as one
+// fire and its fused burst would; the consuming end adds the seven hops
+// each item stands for to both.
+func TestRegionsEndpointRunCounts(t *testing.T) {
+	const stages = 8
+	m, a, b := fifoChain(t, stages, engine.Options{})
+	defer m.Close()
+	vals := make([]any, stages)
+	for i := range vals {
+		vals[i] = i
+	}
+	if _, err := m.SendBatch(a, vals); err != nil { // fills the spliced link
+		t.Fatal(err)
+	}
+	if _, err := m.RecvBatch(b, vals); err != nil { // and drains it
+		t.Fatal(err)
+	}
+	hops := int64((stages - 1) * stages)
+	in := m.Infos()
+	if p, c := in[0], in[stages]; p.Steps != stages || p.GuardEvals != 1 ||
+		c.Steps != stages+hops || c.GuardEvals != 1+hops {
+		t.Errorf("producing end %d steps, %d guard evaluations; consuming end %d and %d; want %d and 1, %d and %d",
+			p.Steps, p.GuardEvals, c.Steps, c.GuardEvals, stages, stages+hops, 1+hops)
+	}
+}
+
+// TestRegionsEndpointCloseParked: an endpoint's operation that cannot move
+// parks as any other — a Send on a full link, a Recv on an empty one —
+// and Close fails it with ErrClosed, synchronously and on a runtime.
+func TestRegionsEndpointCloseParked(t *testing.T) {
+	for _, lane := range []string{"sync", "runtime"} {
+		for _, op := range []string{"send", "recv"} {
+			t.Run(lane+"/"+op, func(t *testing.T) {
+				var opts engine.Options
+				if lane == "runtime" {
+					rt := engine.NewRuntime(2)
+					defer rt.Close()
+					opts.Runtime = rt
+				}
+				// Two ends around a relay spliced into one 2-place link.
+				m, a, b := fifoChain(t, 2, opts)
+				if in := m.Infos(); !in[0].Endpoint || !in[2].Endpoint {
+					t.Fatalf("regions %+v: want two endpoints", in)
+				}
+				parked := make(chan error, 1)
+				registered := int64(1)
+				if op == "send" {
+					for i := 0; i < 2; i++ { // fills the link
+						if err := m.Send(a, i); err != nil {
+							t.Fatal(err)
+						}
+					}
+					registered += 2
+					go func() { parked <- m.Send(a, 2) }()
+				} else {
+					go func() {
+						_, err := m.Recv(b)
+						parked <- err
+					}()
+				}
+				engine.WaitRegistered(t, m, registered)
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := waitForErr(t, parked, 2*time.Second, "parked "+op); err != engine.ErrClosed {
+					t.Errorf("parked %s error = %v, want ErrClosed", op, err)
 				}
 			})
 		}
@@ -554,9 +605,9 @@ func TestRegionsSpliceSeedOrder(t *testing.T) {
 // TestRegionsSpliceKeepsRelays: only a relay with one inbound and one
 // outbound link between two other regions of the process splices. A
 // fan-out relay, a relay on a loop out of and back into one region, and a
-// closed cycle of relays keep their engines and relayPass; a chain ending
-// at a fan-out relay still splices, and that relay counts the chain's hops
-// with its own.
+// closed cycle of relays keep their engines and the node pass; a chain
+// ending at a fan-out relay still splices, and that relay counts the
+// chain's hops with its own.
 func TestRegionsSpliceKeepsRelays(t *testing.T) {
 	const items = 40
 	t.Run("fan-out", func(t *testing.T) {

@@ -454,7 +454,7 @@ func livelockIsolation(t *testing.T, workers int) {
 // buffer is cut, so the chain plans stages links and stages+1 regions;
 // the stages-1 relay regions between them are spliced into one link of
 // capacity stages, so an item crosses from a's region to b's in one hop.
-func fifoChain(t *testing.T, stages int, opts engine.Options) (*engine.Multi, ca.PortID, ca.PortID) {
+func fifoChain(t testing.TB, stages int, opts engine.Options) (*engine.Multi, ca.PortID, ca.PortID) {
 	t.Helper()
 	u := ca.NewUniverse()
 	ports := make([]ca.PortID, stages+1)
@@ -481,7 +481,7 @@ func fifoChain(t *testing.T, stages int, opts engine.Options) (*engine.Multi, ca
 // region holds a constituent, so no relay splices, the chain keeps its
 // stages links of capacity 1, and every hop of an item is a wake-up of
 // the next stage's region.
-func syncStageChain(t *testing.T, stages int, opts engine.Options) (*engine.Multi, ca.PortID, ca.PortID) {
+func syncStageChain(t testing.TB, stages int, opts engine.Options) (*engine.Multi, ca.PortID, ca.PortID) {
 	t.Helper()
 	u := ca.NewUniverse()
 	ports := make([]ca.PortID, stages+1)
@@ -510,18 +510,26 @@ func syncStageChain(t *testing.T, stages int, opts engine.Options) (*engine.Mult
 	return m, ports[0], ports[stages]
 }
 
-// streamBatches moves batches batches of k ints from a to b and checks
-// their order. The sender's error is reported on the returned channel.
-func streamBatches(t *testing.T, m *engine.Multi, a, b ca.PortID, batches, k int) <-chan error {
+// stream moves items ints from a to b — by scalar Send and Recv when k is
+// 1, in batches of k otherwise (items must be a multiple of k) — and
+// checks their order. The sender's error is reported on the returned
+// channel.
+func stream(t testing.TB, m *engine.Multi, a, b ca.PortID, items, k int) <-chan error {
 	t.Helper()
 	sent := make(chan error, 1)
 	go func() {
 		vals := make([]any, k)
-		for i := 0; i < batches; i++ {
+		for i := 0; i < items; i += k {
 			for j := range vals {
-				vals[j] = i*k + j
+				vals[j] = i + j
 			}
-			if _, err := m.SendBatch(a, vals); err != nil {
+			var err error
+			if k == 1 {
+				err = m.Send(a, vals[0])
+			} else {
+				_, err = m.SendBatch(a, vals)
+			}
+			if err != nil {
 				sent <- err
 				return
 			}
@@ -529,13 +537,19 @@ func streamBatches(t *testing.T, m *engine.Multi, a, b ca.PortID, batches, k int
 		sent <- nil
 	}()
 	buf := make([]any, k)
-	for i := 0; i < batches; i++ {
-		if _, err := m.RecvBatch(b, buf); err != nil {
+	for i := 0; i < items; i += k {
+		var err error
+		if k == 1 {
+			buf[0], err = m.Recv(b)
+		} else {
+			_, err = m.RecvBatch(b, buf)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		for j, v := range buf {
-			if v != i*k+j {
-				t.Fatalf("batch %d item %d = %v", i, j, v)
+			if v != i+j {
+				t.Fatalf("item %d = %v", i+j, v)
 			}
 		}
 	}
@@ -551,16 +565,19 @@ func TestRuntimeContinuesLocally(t *testing.T) {
 	const stages, batches, k = 8, 40, 64
 	rt := engine.NewRuntime(2)
 	m, a, b := syncStageChain(t, stages, engine.Options{Runtime: rt})
-	sent := streamBatches(t, m, a, b, batches, k)
+	sent := stream(t, m, a, b, batches*k, k)
 	if err := waitForErr(t, sent, 5*time.Second, "sender"); err != nil {
 		t.Fatal(err)
 	}
+	// A worker counts a fire's step after completing the operations it
+	// moved, still holding the region's lock: Close takes every region's
+	// lock, so the count is final after it. Closing the pool joins the
+	// workers, which makes the snapshot exact.
+	m.Close()
+	rt.Close()
 	if got, want := m.Steps(), int64(batches*k*(stages+1)); got != want {
 		t.Errorf("Steps() = %d, want %d", got, want)
 	}
-	// Closing the pool joins the workers, which makes the snapshot exact.
-	m.Close()
-	rt.Close()
 	st := rt.Stats()
 	t.Logf("stats: %+v", st)
 	if st.Passes != st.Local+st.Injected+st.Stolen+st.Caller {
@@ -641,7 +658,7 @@ func TestRuntimeBatchChainPasses(t *testing.T) {
 	const stages, batches, k = 8, 160, 64
 	rt := engine.NewRuntime(2)
 	m, a, b := fifoChain(t, stages, engine.Options{Runtime: rt})
-	if err := waitForErr(t, streamBatches(t, m, a, b, batches, k), 5*time.Second, "sender"); err != nil {
+	if err := waitForErr(t, stream(t, m, a, b, batches*k, k), 5*time.Second, "sender"); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := m.Steps(), int64(batches*k*(stages+1)); got != want {
@@ -653,6 +670,33 @@ func TestRuntimeBatchChainPasses(t *testing.T) {
 	t.Logf("stats: %+v", st)
 	if items := int64(batches * k); st.Passes > items {
 		t.Errorf("%d passes for %d items, want at most one per item (the relays are spliced)", st.Passes, items)
+	}
+}
+
+// BenchmarkRegionCrossing measures what an item pays to cross a region
+// boundary: b.N items (rounded up to whole batches) stream through
+// syncStageChain's eight stages on a 2-worker runtime, scalar and in
+// batches of 64. Every stage holds a Sync, so no stage splices or becomes
+// an endpoint (only the producing end is one) and each crossing is a pass
+// of the next stage's region. It reports the time per crossing, eight per
+// item, and the runtime's passes per item.
+func BenchmarkRegionCrossing(b *testing.B) {
+	const stages = 8
+	for _, k := range []int{1, 64} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			rt := engine.NewRuntime(2)
+			m, a, z := syncStageChain(b, stages, engine.Options{Runtime: rt})
+			items := (b.N + k - 1) / k * k
+			b.ResetTimer()
+			if err := <-stream(b, m, a, z, items, k); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			m.Close()
+			rt.Close()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(items*stages), "ns/crossing")
+			b.ReportMetric(float64(rt.Stats().Passes)/float64(items), "passes/item")
+		})
 	}
 }
 

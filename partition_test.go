@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	reo "repro"
 	"repro/internal/connlib"
@@ -353,8 +352,7 @@ func TestWorkersInstanceSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait := connlib.Drive(d, inst, 4)
-	time.Sleep(30 * time.Millisecond)
+	sendEach(t, inst, 25)
 	if inst.Workers() != 2 {
 		t.Errorf("Workers() = %d, want 2", inst.Workers())
 	}
@@ -367,7 +365,6 @@ func TestWorkersInstanceSurface(t *testing.T) {
 		t.Error("no steps fired on the worker pool")
 	}
 	inst.Close()
-	wait()
 
 	// Without workers (and without region partitioning) the surface
 	// reports no pool and no assignment.
@@ -381,6 +378,32 @@ func TestWorkersInstanceSurface(t *testing.T) {
 	}
 	if got := single.Regions()[0].Worker; got != -1 {
 		t.Errorf("single-engine region worker = %d, want -1", got)
+	}
+}
+
+// sendEach has every client of a Sequencer instance send ops times and
+// returns when the last Send has returned: the sequencer serves its
+// clients in turn, so equal counts all finish.
+func sendEach(t *testing.T, inst *reo.Instance, ops int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(inst.Outports("c")))
+	for _, c := range inst.Outports("c") {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				if err := c.Send(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -445,10 +468,8 @@ func TestRegionsInstanceStats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		wait := connlib.Drive(d, inst, 4)
-		time.Sleep(30 * time.Millisecond)
+		sendEach(t, inst, 25)
 		inst.Close()
-		wait()
 		// Snapshot after Close: the engines are quiescent, so the
 		// per-region sums must match the aggregate exactly.
 		infos := inst.Regions()

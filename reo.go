@@ -901,6 +901,11 @@ type RegionInfo struct {
 	// the one whose inbox its wake-ups from tasks are queued on (any
 	// worker may run it). -1 when the instance runs without a worker pool.
 	Worker int
+	// Endpoint reports a region holding only the node of a task's port
+	// and one link to a region of this process: its operations move items
+	// straight between the task and the link, with no dispatch, so its
+	// Expansions are 0.
+	Endpoint bool
 	// Steps/Expansions/GuardEvals are the partition's share of the
 	// instance counters.
 	Steps, Expansions, GuardEvals int64
@@ -911,7 +916,7 @@ type RegionInfo struct {
 // components under PartitionComponents, and a single entry otherwise. A
 // region with no engine here — a relay spliced into a link, whose hops
 // the chain's consuming region counts, or one another process hosts —
-// has an empty entry with Worker -1.
+// has an empty entry with Worker -1. An endpoint region has Endpoint set.
 func (i *Instance) Regions() []RegionInfo {
 	if m, ok := i.coord.(*engine.Multi); ok {
 		infos := m.Infos()
@@ -921,6 +926,7 @@ func (i *Instance) Regions() []RegionInfo {
 				Constituents: in.Constituents,
 				Links:        in.Links,
 				Worker:       in.Worker,
+				Endpoint:     in.Endpoint,
 				Steps:        in.Steps,
 				Expansions:   in.Expansions,
 				GuardEvals:   in.GuardEvals,

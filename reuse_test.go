@@ -404,13 +404,19 @@ func TestReuseExploreSchedules(t *testing.T) {
 // workers. Close leaves the recycled regions behind as stale hints in the
 // workers' private run lists and in the injection queue; they must be
 // dropped, never run, so every recycled run repeats the fresh one: the same
-// values in the same order, the same Steps and GuardEvals.
+// values in the same order, the same Steps and GuardEvals. The Sync stage
+// is the one region that dispatches (the chain's ends are endpoints and
+// the nodes between buffers splice), so the plans it compiles witness
+// that a run was recycled. It is the consuming end: every fire there
+// completes the scalar Recv it serves, so no fire fuses a burst, whose
+// length (and so the guard evaluations) would depend on timing.
 func TestReuseChurnOnBusyRuntime(t *testing.T) {
 	const src = `Chain(a;b) =
     prod (i:1..1) Fifo1(a;m1)
     mult prod (i:1..1) Fifo1(m1;m2)
     mult prod (i:1..1) Fifo1(m2;m3)
-    mult prod (i:1..1) Fifo1(m3;b)
+    mult prod (i:1..1) Fifo1(m3;s)
+    mult prod (i:1..1) Sync(s;b)
 `
 	conn, err := reo.MustCompile(src).Connector("Chain")
 	if err != nil {
