@@ -41,22 +41,6 @@ func TestMustConnectorPanics(t *testing.T) {
 	prog.MustConnector("Missing")
 }
 
-// TestMediumSimplifyOff: disabling compile-time label simplification must
-// not change observable behavior.
-func TestMediumSimplifyOff(t *testing.T) {
-	prog := reo.MustCompile(srcEx11N, reo.WithMediumSimplify(false))
-	conn, err := prog.Connector("ConnectorEx11N")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := conn.Connect(map[string]int{"tl": 3, "hd": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	checkOrderedProtocol(t, inst, 3, 2, "tl", "hd")
-}
-
 // TestFullExpansionCorrect: the textbook enumeration must be observably
 // equivalent on a deterministic connector (just slower).
 func TestFullExpansionCorrect(t *testing.T) {
@@ -170,8 +154,6 @@ func TestConnectOptionValidation(t *testing.T) {
 	}{
 		{"workers without regions", "WithWorkers",
 			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionOff), reo.WithWorkers(2)}},
-		{"workers with components", "WithWorkers",
-			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionComponents), reo.WithWorkers(2)}},
 		{"runtime without regions", "WithRuntime",
 			[]reo.ConnectOption{reo.WithRuntime(nil)}},
 		{"runtime plus workers", "WithRuntime",
@@ -184,12 +166,12 @@ func TestConnectOptionValidation(t *testing.T) {
 			[]reo.ConnectOption{reo.WithMaxStates(-4)}},
 		{"remote without regions", "WithRemoteRegions",
 			[]reo.ConnectOption{reo.WithRemoteRegions(&reo.RemoteTopology{})}},
-		{"remote with components", "WithRemoteRegions",
-			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionComponents), reo.WithRemoteRegions(&reo.RemoteTopology{})}},
 		{"remote with static mode", "WithRemoteRegions",
 			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithMode(reo.Static), reo.WithRemoteRegions(&reo.RemoteTopology{})}},
 		{"remote plus reuse", "WithRemoteRegions",
 			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithReuse(true), reo.WithRemoteRegions(&reo.RemoteTopology{})}},
+		{"partitioning with static mode", "WithPartitioning",
+			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithMode(reo.Static)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

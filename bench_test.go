@@ -161,8 +161,8 @@ func BenchmarkExpansionBlowup(b *testing.B) {
 	}{
 		{"connected", nil, 16},
 		{"full-expansion", []reo.ConnectOption{reo.WithFullExpansion(true)}, 8},
-		{"partitioned", []reo.ConnectOption{reo.WithPartitioning(reo.PartitionComponents)}, 16},
-		{"full-expansion+partitioned", []reo.ConnectOption{reo.WithFullExpansion(true), reo.WithPartitioning(reo.PartitionComponents)}, 16},
+		{"partitioned", []reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions)}, 16},
+		{"full-expansion+partitioned", []reo.ConnectOption{reo.WithFullExpansion(true), reo.WithPartitioning(reo.PartitionRegions)}, 16},
 	}
 	for _, n := range []int{2, 4, 8, 16} {
 		for _, c := range cases {

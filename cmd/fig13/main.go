@@ -23,7 +23,7 @@ func main() {
 		ns        = flag.String("N", "2,4,8", "comma-separated slave counts")
 		reps      = flag.Int("reps", 1, "repetitions per configuration (best time reported)")
 		batch     = flag.Int("batch", 1, "scatter/gather batching degree: work units per slave per round, moved as one batched port operation (1 = the paper's structure)")
-		partition = flag.String("partition", "off", "partition the Reo connectors: off, components (§V-C(3) fix), or regions (buffer-boundary cut)")
+		partition = flag.String("partition", "off", "partition the Reo connectors: off, or regions (the §V-C(3) fix: connected components, further cut at buffers)")
 		workers   = flag.Int("workers", 0, "scheduler workers for partition=regions (0 = synchronous, <0 = GOMAXPROCS)")
 		fullExp   = flag.Bool("full-expansion", false, "textbook joint enumeration (reproduces the §V-C(3) blow-up)")
 		backend   = flag.String("backend", "interpreted", "Reo-variant backend: interpreted (the connector engine) or generated (static per-region code, `reoc gen`)")
@@ -43,16 +43,14 @@ func main() {
 	var opts []reo.ConnectOption
 	var genOpts []msfabric.Option
 	switch *partition {
-	case "off", "false":
-	case "components", "true":
-		opts = append(opts, reo.WithPartitioning(reo.PartitionComponents))
+	case "off":
 	case "regions":
 		opts = append(opts, reo.WithPartitioning(reo.PartitionRegions))
 		if *workers != 0 {
 			opts = append(opts, reo.WithWorkers(*workers))
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "fig13: bad -partition %q (off|components|regions)\n", *partition)
+		fmt.Fprintf(os.Stderr, "fig13: bad -partition %q (off|regions)\n", *partition)
 		os.Exit(2)
 	}
 	if *fullExp {

@@ -191,7 +191,7 @@ func exploreCmd(rest []string) {
 	rounds := fs.Int("rounds", 50, "exploration rounds")
 	maxOps := fs.Int("max-ops", 24, "schedule token budget per round")
 	maxPrims := fs.Int("max-prims", 8, "connector primitive budget per round")
-	backends := fs.String("backends", "all", `lanes to compare: "all" or comma-separated of gen, workers, runtime, batch2, off, components, aot`)
+	backends := fs.String("backends", "all", `lanes to compare: "all" or comma-separated of gen, workers, runtime, batch2, off, aot`)
 	shrink := fs.Bool("shrink", true, "minimize the failing case before reporting")
 	selfcheck := fs.Bool("selfcheck-mutate", false, "inject the candidate-ordering mutation into the generated lane; the run must detect it")
 	verbose := fs.Bool("v", false, "per-round progress")

@@ -20,8 +20,8 @@ import (
 // its adjacent queues), so regions execute concurrently.
 
 // UnionFind is a plain disjoint-set forest with path halving, shared by
-// the component partitioner (engine.NewMulti) and the region planner so
-// their grouping semantics cannot drift apart.
+// the region planner and the explorer's port-component analysis
+// (explore.PortComponents).
 type UnionFind []int
 
 // NewUnionFind returns n singleton sets.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ca"
 	"repro/internal/compile"
+	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/sema"
 )
@@ -298,5 +299,59 @@ func TestFig10Analogy(t *testing.T) {
 		// X mediums have 2 states; Seq primitives also have 2 states
 		// (two tails). All n + (n-1) + 1 constituents are 2-state.
 		t.Errorf("constituent state profile unexpected: %v", names)
+	}
+}
+
+// TestMediumSimplifyOff: turning compile-time label simplification off
+// must not change observable behavior. Both templates of the ordered
+// protocol run the same rounds on an engine and must deliver every
+// sender's k-th value in position i of round k, in the same number of
+// steps.
+func TestMediumSimplifyOff(t *testing.T) {
+	const n, rounds = 3, 4
+	var steps [2]int64
+	for k, simplify := range []bool{true, false} {
+		tmpl := build(t, orderedSrc, "Ordered", compile.Options{Simplify: simplify})
+		asm, err := tmpl.Instantiate(map[string]int{"tl": n, "hd": n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := engine.New(asm.U, asm.Auts, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		errs := make(chan error, n)
+		for i, p := range asm.Tails["tl"] {
+			go func(i int, p ca.PortID) {
+				for r := 0; r < rounds; r++ {
+					if err := eng.Send(p, fmt.Sprintf("%d/%d", i, r)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}(i, p)
+		}
+		for r := 0; r < rounds; r++ {
+			for i, p := range asm.Heads["hd"] {
+				v, err := eng.Recv(p)
+				if err != nil {
+					t.Fatalf("simplify=%v: recv %d/%d: %v", simplify, i, r, err)
+				}
+				if want := fmt.Sprintf("%d/%d", i, r); v != want {
+					t.Fatalf("simplify=%v: recv = %v, want %s", simplify, v, want)
+				}
+			}
+		}
+		for range asm.Tails["tl"] {
+			if err := <-errs; err != nil {
+				t.Fatalf("simplify=%v: send: %v", simplify, err)
+			}
+		}
+		steps[k] = eng.Steps()
+	}
+	if steps[0] != steps[1] {
+		t.Errorf("Steps: %d simplified, %d unsimplified; want equal", steps[0], steps[1])
 	}
 }

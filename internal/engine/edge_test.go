@@ -163,7 +163,7 @@ func TestMultiAccounting(t *testing.T) {
 		bs = append(bs, b)
 		auts = append(auts, prim.Fifo1(u, a, b))
 	}
-	m, err := engine.NewMulti(u, auts, engine.Options{})
+	m, err := engine.NewMultiRegions(u, auts, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMultiForeignPort(t *testing.T) {
 	a, b := u.Port("a"), u.Port("b")
 	u.SetDir(a, ca.DirSource)
 	u.SetDir(b, ca.DirSink)
-	m, err := engine.NewMulti(u, []*ca.Automaton{prim.Sync(u, a, b)}, engine.Options{})
+	m, err := engine.NewMultiRegions(u, []*ca.Automaton{prim.Sync(u, a, b)}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -858,6 +858,10 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 			// completing operations: popped values feed pending receives.
 			linkActive = e.fireLinks(pl, false)
 		}
+		// Count the step before completing operations: a task woken by
+		// its completion must not read Steps() short of its items. Hops
+		// a popped spliced link stands for were counted by fireLinks.
+		step := e.steps.Add(1)
 		var traced []TracePort
 		var tracedp *[]TracePort
 		if e.tracer != nil {
@@ -891,7 +895,6 @@ func (e *Engine) fireLoop(trigger ca.PortID) {
 		// guard evaluation (and the fired plan's outputs): cached plans
 		// must not pin user payloads between fires.
 		e.resetEnabled(ex)
-		step := e.steps.Add(1)
 		if e.tracer != nil {
 			e.tracer(TraceEvent{Step: step, Ports: traced, Internal: !completedAny})
 		}
@@ -1008,15 +1011,18 @@ func (e *Engine) gateBudget(p ca.PortID, k int) (int, bool) {
 // construction, and link endpoints defer their queue publication so the
 // whole burst costs one release store per endpoint (commitLinks). Every
 // fused item counts as one global step, keeping Steps parity with the
-// scalar run. Returns false when an Execute error broke the engine.
-// Called with mu held.
+// scalar run; the burst counts them before it completes any operation.
+// Returns false when an Execute error broke the engine. Called with mu
+// held.
 func (e *Engine) fireFused(ex *expanded, pl *ca.Plan) bool {
 	k := e.fuseBudget(pl)
 	if k == 0 {
 		return true
 	}
+	e.steps.Add(int64(k))
 	for j := 0; j < k; j++ {
 		if err := pl.Execute(e.cells, e); err != nil {
+			e.steps.Add(int64(j - k)) // the items that did not move
 			if e.linkGate != nil {
 				e.commitLinks(pl)
 			}
@@ -1032,7 +1038,6 @@ func (e *Engine) fireFused(ex *expanded, pl *ca.Plan) bool {
 	if e.linkGate != nil {
 		e.commitLinks(pl)
 	}
-	e.steps.Add(int64(k))
 	return true
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -537,7 +538,7 @@ func TestMultiPartitionsIndependentSyncs(t *testing.T) {
 	for _, p := range []ca.PortID{b1, b2} {
 		u.SetDir(p, ca.DirSink)
 	}
-	m, err := engine.NewMulti(u, []*ca.Automaton{prim.Sync(u, a1, b1), prim.Sync(u, a2, b2)}, engine.Options{})
+	m, err := engine.NewMultiRegions(u, []*ca.Automaton{prim.Sync(u, a1, b1), prim.Sync(u, a2, b2)}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestMultiKeepsCoupledTogether(t *testing.T) {
 	a, mid, b := u.Port("a"), u.Port("m"), u.Port("b")
 	u.SetDir(a, ca.DirSource)
 	u.SetDir(b, ca.DirSink)
-	m, err := engine.NewMulti(u, []*ca.Automaton{prim.Sync(u, a, mid), prim.Sync(u, mid, b)}, engine.Options{})
+	m, err := engine.NewMultiRegions(u, []*ca.Automaton{prim.Sync(u, a, mid), prim.Sync(u, mid, b)}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,5 +590,54 @@ func TestEngineStepCounting(t *testing.T) {
 	})
 	if e.Steps() != 20 {
 		t.Errorf("steps = %d, want 20", e.Steps())
+	}
+}
+
+// TestStepsCountedBeforeCompletion: a fire counts its step before it
+// wakes the operations it completed, so a task whose Recv just returned
+// never reads Steps() short of the items it received. Each round parks a
+// Recv on a Sync, then Sends: the sender's fire completes both, and the
+// woken receiver reads Steps() at once. The batch case parks a RecvBatch
+// and completes it from a fused burst.
+func TestStepsCountedBeforeCompletion(t *testing.T) {
+	const rounds = 2000
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("batch=%d", k), func(t *testing.T) {
+			u := ca.NewUniverse()
+			a, b := u.Port("a"), u.Port("b")
+			u.SetDir(a, ca.DirSource)
+			u.SetDir(b, ca.DirSink)
+			e := newEngine(t, u, []*ca.Automaton{prim.Sync(u, a, b)}, engine.Options{})
+			vals := make([]any, k)
+			for i := range vals {
+				vals[i] = i
+			}
+			short := 0
+			within(t, 30*time.Second, "parked receives", func() {
+				for r := 1; r <= rounds; r++ {
+					seen := make(chan int64, 1)
+					go func() {
+						buf := make([]any, k)
+						if n, err := e.RecvBatch(b, buf); err != nil || n != k {
+							t.Errorf("round %d: recv %d, %v", r, n, err)
+						}
+						seen <- e.Steps()
+					}()
+					// The Recv is parked once the engine has accepted it.
+					for e.OpsRegistered() < int64(2*r-1) {
+						runtime.Gosched()
+					}
+					if n, err := e.SendBatch(a, vals); err != nil || n != k {
+						t.Fatalf("round %d: send %d, %v", r, n, err)
+					}
+					if got := <-seen; got < int64(r*k) {
+						short++
+					}
+				}
+			})
+			if short > 0 {
+				t.Errorf("%d of %d rounds read Steps() short of the items received", short, rounds)
+			}
+		})
 	}
 }

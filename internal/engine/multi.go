@@ -8,34 +8,28 @@ import (
 	"repro/internal/ca"
 )
 
-// Multi is a partitioned coordinator: the router over independently
-// locked engines, for both partition kinds.
-//
-// NewMulti partitions on connected components of the shared-port graph
-// (the optimization of §V-C(3), after Jongmans, Santini & Arbab,
-// "Partially distributed coordination with Reo and constraint
-// automata"): components share no ports, so no consensus between them is
-// ever needed, and the per-state expansion work is exponential only in
-// the largest component — not in the whole connector.
-//
-// NewMultiRegions (region.go) cuts finer: full buffers never require
-// consensus across them, so connectors that are a single component still
-// decompose into synchronous regions joined by bounded links, each
-// firing concurrently.
+// Multi is the region-partitioned coordinator (NewMultiRegions,
+// region.go): the router over independently locked region engines. The
+// plan unions constituents sharing a port, so connected components of
+// the shared-port graph never share an engine (the optimization of
+// §V-C(3), after Jongmans, Santini & Arbab, "Partially distributed
+// coordination with Reo and constraint automata"), and then cuts at
+// buffers: a full buffer never requires consensus across it, so even a
+// single component decomposes into synchronous regions joined by
+// bounded links, each firing concurrently. Per-state expansion work is
+// exponential only in the largest region, not in the whole connector.
 type Multi struct {
 	engines []*Engine
 	owner   []int // port -> engine index (-1 if unknown)
 
-	// regions marks a region-partitioned coordinator; plan and links
-	// describe the cut (diagnostics). engines and links keep
-	// plan-aligned indices: entries hosted by another process are nil,
-	// and so are the relay regions and links of a spliced relay chain,
-	// whose one link folds lists.
-	regions bool
-	plan    *ca.RegionPlan
-	links   []*link
-	folds   []fold
-	group   *regionGroup
+	// plan and links describe the cut (diagnostics). engines and links
+	// keep plan-aligned indices: entries hosted by another process are
+	// nil, and so are the relay regions and links of a spliced relay
+	// chain, whose one link folds lists.
+	plan  *ca.RegionPlan
+	links []*link
+	folds []fold
+	group *regionGroup
 	// transport is the placement's link transport (nil for a fully
 	// local coordinator); closed by Close after the engines.
 	transport Transport
@@ -48,58 +42,6 @@ type Multi struct {
 	// (and safe to race), which instance pooling relies on.
 	closeMu sync.Mutex
 	closed  bool
-}
-
-// NewMulti partitions the constituents and builds one engine per
-// component. The static analysis is linear in the total automaton size.
-func NewMulti(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Multi, error) {
-	if len(auts) == 0 {
-		return nil, errors.New("engine: no constituent automata")
-	}
-	uf := ca.NewUnionFind(len(auts))
-
-	// Union constituents sharing any port. portFirst remembers the first
-	// constituent seen per port; linear in total port occurrences.
-	portFirst := make([]int, u.NumPorts())
-	for i := range portFirst {
-		portFirst[i] = -1
-	}
-	for i, a := range auts {
-		a.Ports.ForEach(func(p ca.PortID) {
-			if portFirst[p] < 0 {
-				portFirst[p] = i
-			} else {
-				uf.Union(portFirst[p], i)
-			}
-		})
-	}
-
-	groups := make(map[int][]*ca.Automaton)
-	var order []int
-	for i, a := range auts {
-		r := uf.Find(i)
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], a)
-	}
-
-	m := &Multi{owner: make([]int, u.NumPorts())}
-	for i := range m.owner {
-		m.owner[i] = -1
-	}
-	for gi, r := range order {
-		sub := groups[r]
-		eng, err := New(u, sub, opts)
-		if err != nil {
-			return nil, fmt.Errorf("engine: partition %d: %w", gi, err)
-		}
-		m.engines = append(m.engines, eng)
-		for _, a := range sub {
-			a.Ports.ForEach(func(p ca.PortID) { m.owner[p] = gi })
-		}
-	}
-	return m, nil
 }
 
 // Partitions returns the number of partitions planned, with or without
@@ -120,22 +62,15 @@ func (m *Multi) Workers() int {
 // (nil in synchronous mode).
 func (m *Multi) Runtime() *Runtime { return m.sched }
 
-// RegionPartitioned reports whether the coordinator was built by
-// NewMultiRegions (buffer-boundary cut) rather than NewMulti
-// (connected components).
-func (m *Multi) RegionPartitioned() bool { return m.regions }
-
-// Plan returns the region plan behind a region-partitioned coordinator
-// (nil for component partitioning).
+// Plan returns the region plan behind the coordinator.
 func (m *Multi) Plan() *ca.RegionPlan { return m.plan }
 
 // PartitionInfo is a per-engine statistics snapshot.
 type PartitionInfo struct {
-	// Constituents counts the automata executing in the partition
-	// (including synthesized node automata for region partitions).
+	// Constituents counts the automata executing in the partition,
+	// including synthesized node automata.
 	Constituents int
-	// Links counts the link endpoints attached to the partition (always
-	// 0 for component partitions).
+	// Links counts the link endpoints attached to the partition.
 	Links int
 	// Worker is the partition's home worker — the one whose inbox its
 	// wake-ups from outside the pool are queued on (any worker may run

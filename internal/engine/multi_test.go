@@ -12,7 +12,8 @@ import (
 	"repro/internal/prim"
 )
 
-// multiLanes builds a Multi over n independent Fifo1 components.
+// multiLanes builds a Multi over n independent Fifo1 components: each
+// isolated buffer stays uncut, one region per lane.
 func multiLanes(t *testing.T, n int) (*engine.Multi, *ca.Universe, []ca.PortID, []ca.PortID) {
 	t.Helper()
 	u := ca.NewUniverse()
@@ -26,7 +27,7 @@ func multiLanes(t *testing.T, n int) (*engine.Multi, *ca.Universe, []ca.PortID, 
 		as, bs = append(as, a), append(bs, b)
 		auts = append(auts, prim.Fifo1(u, a, b))
 	}
-	m, err := engine.NewMulti(u, auts, engine.Options{})
+	m, err := engine.NewMultiRegions(u, auts, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestMultiStatAggregation(t *testing.T) {
 		exps += in.Expansions
 		guards += in.GuardEvals
 		if in.Links != 0 {
-			t.Errorf("component partition reports %d links, want 0", in.Links)
+			t.Errorf("isolated buffer region reports %d links, want 0 (an isolated buffer is not cut)", in.Links)
 		}
 	}
 	if steps != m.Steps() || exps != m.Expansions() || guards != m.GuardEvals() {
@@ -95,9 +96,6 @@ func TestMultiStatAggregation(t *testing.T) {
 	}
 	if m.Expansions() == 0 || m.GuardEvals() == 0 {
 		t.Error("expansion/guard counters should be nonzero after a run")
-	}
-	if m.RegionPartitioned() {
-		t.Error("NewMulti must not report region partitioning")
 	}
 }
 

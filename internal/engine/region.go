@@ -860,9 +860,9 @@ func (f fold) seed(links []ca.RegionLink) {
 // link (relayChains): the relays get no engine, as a remote region gets
 // none, while the plan and its region indices stay as planned.
 //
-// Compared to NewMulti (connected components), the region cut also
-// splits connectors that are one component: any full buffer decouples
-// the consensus on its two sides.
+// Beyond the connected components of the shared-port graph, which never
+// share a region, the cut also splits connectors that are one
+// component: any full buffer decouples the consensus on its two sides.
 func NewMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Multi, error) {
 	return NewMultiRegionsBound(u, auts, opts, nil)
 }
@@ -923,7 +923,7 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 	}
 
 	group := &regionGroup{}
-	m := &Multi{owner: make([]int, u.NumPorts()), regions: true, plan: plan,
+	m := &Multi{owner: make([]int, u.NumPorts()), plan: plan,
 		group: group, transport: placed.Transport}
 	for i := range m.owner {
 		m.owner[i] = -1

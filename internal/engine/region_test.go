@@ -28,9 +28,6 @@ func regionChain(t *testing.T, opts engine.Options) (*engine.Multi, ca.PortID, c
 	if m.Partitions() != 2 {
 		t.Fatalf("partitions = %d, want 2 (cut at the buffer)", m.Partitions())
 	}
-	if !m.RegionPartitioned() {
-		t.Fatal("RegionPartitioned() = false")
-	}
 	return m, a, b
 }
 

@@ -569,9 +569,10 @@ func TestRuntimeContinuesLocally(t *testing.T) {
 	if err := waitForErr(t, sent, 5*time.Second, "sender"); err != nil {
 		t.Fatal(err)
 	}
-	// A worker counts a fire's step after completing the operations it
-	// moved, still holding the region's lock: Close takes every region's
-	// lock, so the count is final after it. Closing the pool joins the
+	// A region counts a fire's step after publishing the items it moved
+	// to its links, still holding its lock, so a later region can finish
+	// the sink's Recv first: Close takes every region's lock, so the
+	// count is final after it. Closing the pool joins the
 	// workers, which makes the snapshot exact.
 	m.Close()
 	rt.Close()

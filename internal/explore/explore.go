@@ -100,7 +100,7 @@ func SelectLanes(sel string) ([]Lane, error) {
 		}
 		l, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("explore: unknown backend %q (have gen, workers, runtime, batch2, off, components, aot)", name)
+			return nil, fmt.Errorf("explore: unknown backend %q (have gen, workers, runtime, batch2, off, aot)", name)
 		}
 		out = append(out, l)
 	}

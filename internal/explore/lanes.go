@@ -120,9 +120,8 @@ type Lane struct {
 	Batch int
 }
 
-// Lanes returns the lane matrix for a backends selector: "all" or a
-// comma-separated subset of gen, workers, runtime, off, components,
-// aot, batch.
+// allLanes is the lane matrix a backends selector picks from: "all" or
+// a comma-separated subset of gen, workers, runtime, batch2, off, aot.
 var allLanes = []Lane{
 	{Name: "gen", Group: "regions"},
 	// Scheduling lanes drain cross-region propagation eagerly on their
@@ -138,7 +137,6 @@ var allLanes = []Lane{
 	// compared like the single-engine lanes.
 	{Name: "batch2", Group: "single", Batch: 2},
 	{Name: "off", Group: "single"},
-	{Name: "components", Group: "single"},
 	{Name: "aot", Group: "single"},
 }
 
@@ -181,8 +179,6 @@ func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend
 		rt.Close()
 	case "off":
 		coord, err = engine.New(asm.U, asm.Auts, opts)
-	case "components":
-		coord, err = engine.NewMulti(asm.U, asm.Auts, opts)
 	case "aot":
 		opts.Composition = engine.AOT
 		opts.MaxStates = 1 << 14

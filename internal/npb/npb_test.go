@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro"
 	"repro/internal/npb"
 )
 
@@ -231,5 +232,64 @@ func TestReoCommPipeline(t *testing.T) {
 	}
 	if comm.Steps() == 0 {
 		t.Error("no steps counted on reo comm")
+	}
+}
+
+// TestRegionsCarryExpansionFix: region partitioning is the §V-C(3) fix
+// for the NPB blow-up. Under the textbook full expansion one engine over
+// the 2N independent lanes enumerates exponentially many joint steps per
+// composite state; cut into regions, every lane is its own two-state
+// engine, so one scatter/gather round at N = 16 moves each value in two
+// steps and expands three states per region.
+func TestRegionsCarryExpansionFix(t *testing.T) {
+	const n = 16
+	comm, err := npb.NewReoComm(n, false, npb.ReoCommOptions{Opts: []reo.ConnectOption{
+		reo.WithFullExpansion(true), reo.WithPartitioning(reo.PartitionRegions)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comm.Close()
+	done := make(chan error, n)
+	for s := 0; s < n; s++ {
+		go func(s int) {
+			v, err := comm.SlaveRecv(s)
+			if err == nil {
+				err = comm.SlaveSend(s, v.(int)*10)
+			}
+			done <- err
+		}(s)
+	}
+	for s := 0; s < n; s++ {
+		if err := comm.SendToSlave(s, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := 0; s < n; s++ {
+		v, err := comm.RecvFromSlave(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != s*10 {
+			t.Errorf("slave %d returned %v, want %d", s, v, s*10)
+		}
+	}
+	for s := 0; s < n; s++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst := npb.InstanceOf(comm)
+	if got := inst.Partitions(); got != 2*n {
+		t.Errorf("partitions = %d, want %d (one region per lane)", got, 2*n)
+	}
+	// Each of the 2N values crosses one Fifo1: accept, then emit.
+	if got := inst.Steps(); got != 4*n {
+		t.Errorf("steps = %d, want %d", got, 4*n)
+	}
+	// A lane region expands empty, then full, then empty again on the
+	// second visit that keeps it (the JIT cache admits a state on its
+	// second visit): 3 per region, 96 at N = 16, measured exactly.
+	if got := inst.Expansions(); got > 3*2*n {
+		t.Errorf("expansions = %d, want <= %d (three per lane region)", got, 3*2*n)
 	}
 }

@@ -177,7 +177,6 @@ func TestBatchedDifferential(t *testing.T) {
 		opts []reo.ConnectOption
 	}{
 		{"off", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionOff)}},
-		{"components", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionComponents)}},
 		{"regions", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions)}},
 		// WithWorkers outside PartitionRegions is an eager OptionError now
 		// (api_test.go); only the regions runtimes are exercised here.
@@ -457,13 +456,13 @@ func TestRegionCounts(t *testing.T) {
 }
 
 // TestRegionsInstanceStats exercises the public Regions() surface under
-// all three partition modes.
+// both partition modes.
 func TestRegionsInstanceStats(t *testing.T) {
 	d, err := connlib.ByName("Sequencer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []reo.PartitionMode{reo.PartitionOff, reo.PartitionComponents, reo.PartitionRegions} {
+	for _, mode := range []reo.PartitionMode{reo.PartitionOff, reo.PartitionRegions} {
 		inst, err := d.Connect(4, reo.WithPartitioning(mode))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -498,13 +497,14 @@ func TestRegionsInstanceStats(t *testing.T) {
 	}
 }
 
-// TestComponentPartitioning pins PartitionComponents splitting disjoint
-// buffers into one engine each (the combination the removed boolean
-// shim used to select).
+// TestComponentPartitioning pins PartitionRegions splitting disjoint
+// buffers into one engine each: connected components never share a
+// region, and an isolated buffer is not cut further (the §V-C(3)
+// component cut).
 func TestComponentPartitioning(t *testing.T) {
 	prog := reo.MustCompile(`Buffers(in[];out[]) = prod (i:1..#in) Fifo1(in[i];out[i])`)
 	inst, err := prog.MustConnector("Buffers").Connect(
-		map[string]int{"in": 3, "out": 3}, reo.WithPartitioning(reo.PartitionComponents))
+		map[string]int{"in": 3, "out": 3}, reo.WithPartitioning(reo.PartitionRegions))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,12 +129,6 @@ func WithFuncs(f Funcs) CompileOption {
 	return func(p *Program) { p.funcs = f }
 }
 
-// WithMediumSimplify toggles transition-label simplification of
-// compile-time medium automata (default on).
-func WithMediumSimplify(on bool) CompileOption {
-	return func(p *Program) { p.copts.Simplify = on }
-}
-
 // Program is a compiled protocol program: a set of connector definitions
 // and optional main definitions.
 // Program is safe for concurrent use once compiled.
@@ -304,18 +298,17 @@ func (c *Connector) Template() *compile.Template { return c.tmpl }
 // pointers only): instance pools match recycled instances by comparing
 // whole configurations.
 type connectCfg struct {
-	mode        Mode
-	partition   PartitionMode
-	workers     int
-	expand      ca.ExpandMode
-	cacheSize   int
-	seed        int64
-	maxStates   int
-	simplify    bool
-	simplifySet bool
-	runtime     *engine.Runtime
-	useRuntime  bool
-	reuse       bool
+	mode       Mode
+	partition  PartitionMode
+	workers    int
+	expand     ca.ExpandMode
+	cacheSize  int
+	seed       int64
+	maxStates  int
+	simplify   bool
+	runtime    *engine.Runtime
+	useRuntime bool
+	reuse      bool
 	// remote is stored by pointer so connectCfg stays comparable; the
 	// topology itself is treated as immutable after Connect.
 	remote *RemoteTopology
@@ -374,6 +367,9 @@ func (c *connectCfg) validate() error {
 			return &OptionError{Option: "WithRemoteRegions", Reason: "incompatible with WithReuse: Close tears the peer connections down, so a remote instance cannot be recycled"}
 		}
 	}
+	if c.mode == Static && c.partition != PartitionOff {
+		return &OptionError{Option: "WithPartitioning", Reason: "incompatible with WithMode(Static): the static product is one global automaton and cannot be partitioned"}
+	}
 	return nil
 }
 
@@ -390,32 +386,28 @@ type PartitionMode uint8
 const (
 	// PartitionOff runs the whole connector in one engine under one lock.
 	PartitionOff PartitionMode = iota
-	// PartitionComponents splits the constituents into connected
-	// components of the shared-port graph (§V-C(3) optimization):
-	// components share no ports, so each becomes an independent engine.
-	PartitionComponents
-	// PartitionRegions additionally cuts connectors at buffer
-	// constituents (Fifo1/Fifo1Full shapes, detected structurally): a
-	// full buffer never requires consensus across it, so its two sides
-	// become separate synchronous regions joined by a bounded queue and
-	// fire concurrently — even when the connector is a single component.
+	// PartitionRegions splits the constituents into connected
+	// components of the shared-port graph (the §V-C(3) optimization:
+	// components share no ports, so no consensus between them is ever
+	// needed) and additionally cuts at buffer constituents (Fifo1/
+	// Fifo1Full shapes, detected structurally): a full buffer never
+	// requires consensus across it, so its two sides become separate
+	// synchronous regions joined by a bounded queue and fire
+	// concurrently — even when the connector is a single component.
 	PartitionRegions
 )
 
 // String renders the partition mode as its lower-case CLI name.
 func (m PartitionMode) String() string {
-	switch m {
-	case PartitionComponents:
-		return "components"
-	case PartitionRegions:
+	if m == PartitionRegions {
 		return "regions"
-	default:
-		return "off"
 	}
+	return "off"
 }
 
-// WithPartitioning selects the partitioning mode. Not applicable to
-// Static mode (the product is already global).
+// WithPartitioning selects the partitioning mode. Connect refuses any
+// partitioning combined with WithMode(Static) with an OptionError: the
+// static product is one global automaton.
 func WithPartitioning(mode PartitionMode) ConnectOption {
 	return func(c *connectCfg) { c.partition = mode }
 }
@@ -603,7 +595,7 @@ func WithMaxStates(n int) ConnectOption { return func(c *connectCfg) { c.maxStat
 // WithStaticSimplify toggles transition-label simplification of the
 // Static mode's large automaton (default on; the E7 ablation).
 func WithStaticSimplify(on bool) ConnectOption {
-	return func(c *connectCfg) { c.simplify = on; c.simplifySet = true }
+	return func(c *connectCfg) { c.simplify = on }
 }
 
 // Instance is a live connector coordinating tasks through its ports.
@@ -709,10 +701,7 @@ func buildCoordinator(asm *compile.Assembly, name string, cfg *connectCfg) (engi
 	default:
 		eopts.Composition = engine.JIT
 	}
-	switch cfg.partition {
-	case PartitionComponents:
-		return engine.NewMulti(asm.U, asm.Auts, eopts)
-	case PartitionRegions:
+	if cfg.partition == PartitionRegions {
 		if cfg.remote != nil {
 			return buildRemote(asm, name, cfg, eopts)
 		}
@@ -912,11 +901,11 @@ type RegionInfo struct {
 }
 
 // Regions returns one entry per partition of the instance: the
-// synchronous regions under WithPartitioning(PartitionRegions), the
-// components under PartitionComponents, and a single entry otherwise. A
-// region with no engine here — a relay spliced into a link, whose hops
-// the chain's consuming region counts, or one another process hosts —
-// has an empty entry with Worker -1. An endpoint region has Endpoint set.
+// synchronous regions under WithPartitioning(PartitionRegions), and a
+// single entry otherwise. A region with no engine here — a relay
+// spliced into a link, whose hops the chain's consuming region counts,
+// or one another process hosts — has an empty entry with Worker -1. An
+// endpoint region has Endpoint set.
 func (i *Instance) Regions() []RegionInfo {
 	if m, ok := i.coord.(*engine.Multi); ok {
 		infos := m.Infos()

@@ -400,7 +400,7 @@ Buffers(in[];out[]) = prod (i:1..#in) Fifo1(in[i];out[i])
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := conn.Connect(map[string]int{"in": 8, "out": 8}, reo.WithPartitioning(reo.PartitionComponents))
+	inst, err := conn.Connect(map[string]int{"in": 8, "out": 8}, reo.WithPartitioning(reo.PartitionRegions))
 	if err != nil {
 		t.Fatal(err)
 	}

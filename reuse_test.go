@@ -488,9 +488,10 @@ func TestReuseChurnOnBusyRuntime(t *testing.T) {
 		if err := <-sent; err != nil {
 			t.Fatal(err)
 		}
-		// A worker counts a step after signaling the operations it
-		// completed, still holding its region's lock. SetTracer takes every
-		// region's lock once, so no step is left uncounted when Steps is read.
+		// A region counts a step after publishing the items it moved to
+		// its links, still holding its lock, so a later region can finish
+		// the Recv first. SetTracer takes every region's lock once, so no
+		// step is left uncounted when Steps is read.
 		inst.SetTracer(nil)
 		r.steps, r.guardEvals = inst.Steps(), inst.GuardEvals()
 		expansions, plans = inst.Expansions(), inst.PlansCompiled()

@@ -100,7 +100,6 @@ func BenchmarkRegionScaling(b *testing.B) {
 		opts []reo.ConnectOption
 	}{
 		{"off", []reo.ConnectOption{reo.WithPartitioning(reo.PartitionOff)}},
-		{"components", []reo.ConnectOption{reo.WithPartitioning(reo.PartitionComponents)}},
 		{"regions", []reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions)}},
 		// The worker scheduler: cross-region nudges become wake-ups on a
 		// GOMAXPROCS-sized pool instead of inline draining, so region
