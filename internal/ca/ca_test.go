@@ -249,11 +249,11 @@ func TestExpandConnectedVsFull(t *testing.T) {
 	auts := []*ca.Automaton{prim.Sync(u, a1, b1), prim.Sync(u, a2, b2)}
 	states := []int32{0, 0}
 
-	conn := ca.ExpandJoint(auts, states, ca.ExpandConnected)
+	conn := ca.NewExpander(auts, ca.ExpandConnected).Expand(states, nil)
 	if len(conn) != 2 {
 		t.Fatalf("connected joints = %d, want 2", len(conn))
 	}
-	full := ca.ExpandJoint(auts, states, ca.ExpandFull)
+	full := ca.NewExpander(auts, ca.ExpandFull).Expand(states, nil)
 	if len(full) != 3 {
 		t.Fatalf("full joints = %d, want 3 (two solos + combo)", len(full))
 	}
@@ -273,7 +273,7 @@ func TestExpandConnectedReplicatorCluster(t *testing.T) {
 		prim.Sync(u, o1, y1),
 		prim.Sync(u, o2, y2),
 	}
-	joints := ca.ExpandJoint(auts, []int32{0, 0, 0, 0}, ca.ExpandConnected)
+	joints := ca.NewExpander(auts, ca.ExpandConnected).Expand([]int32{0, 0, 0, 0}, nil)
 	if len(joints) != 1 {
 		t.Fatalf("joints = %d, want 1", len(joints))
 	}
@@ -289,7 +289,7 @@ func TestExpandNoDuplicates(t *testing.T) {
 	i1, i2, o := u.Port("i1"), u.Port("i2"), u.Port("o")
 	m := prim.Merger(u, []ca.PortID{i1, i2}, o)
 	recv := prim.Sync(u, o, u.Port("sink"))
-	joints := ca.ExpandJoint([]*ca.Automaton{m, recv}, []int32{0, 0}, ca.ExpandConnected)
+	joints := ca.NewExpander([]*ca.Automaton{m, recv}, ca.ExpandConnected).Expand([]int32{0, 0}, nil)
 	if len(joints) != 2 {
 		t.Fatalf("joints = %d, want 2", len(joints))
 	}

@@ -25,34 +25,6 @@ const (
 	ExpandFull
 )
 
-// Joint is one global execution step of a set of constituent automata in
-// dense form: a Cluster with its target spelled out per constituent.
-type Joint struct {
-	// Sync is the union of the chosen transitions' synchronization sets.
-	Sync BitSet
-	// Guards and Acts are the concatenations over chosen transitions.
-	Guards []Guard
-	Acts   []Action
-	// Targets[i] is the successor local state of constituent i.
-	Targets []int32
-}
-
-// ExpandJoint computes the global steps available to the constituents
-// `auts` in local states `states`, in dense form. It is the one-shot
-// wrapper over a fresh Expander, which see for the enumeration rule;
-// callers that expand many states of the same constituents keep one
-// Expander instead, so that states share the work.
-func ExpandJoint(auts []*Automaton, states []int32, mode ExpandMode) []Joint {
-	clusters := NewExpander(auts, mode).Expand(states, nil)
-	out := make([]Joint, len(clusters))
-	for i, c := range clusters {
-		targets := append([]int32(nil), states...)
-		c.Apply(targets)
-		out[i] = Joint{Sync: c.Sync, Guards: c.Guards, Acts: c.Acts, Targets: targets}
-	}
-	return out
-}
-
 // StateKey is a packed composite-state identifier: a fixed-size,
 // comparable key for maps over composite states, replacing per-lookup
 // string conversion on hot paths.

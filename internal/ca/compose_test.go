@@ -62,7 +62,7 @@ func TestProductAssociativeSizes(t *testing.T) {
 }
 
 // TestProductMatchesKWayExpansion: the materialized ProductAll agrees
-// with ExpandJoint on the initial state's step count (full mode).
+// with an Expander on the initial state's step count (full mode).
 func TestProductMatchesKWayExpansion(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	prop := func() bool {
@@ -73,7 +73,7 @@ func TestProductMatchesKWayExpansion(t *testing.T) {
 			return false
 		}
 		states := make([]int32, len(auts))
-		joints := ca.ExpandJoint(auts, states, ca.ExpandFull)
+		joints := ca.NewExpander(auts, ca.ExpandFull).Expand(states, nil)
 		return len(p.Trans[p.Initial]) == len(joints)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
@@ -89,10 +89,12 @@ func TestConnectedSubsetOfFull(t *testing.T) {
 		u := ca.NewUniverse()
 		auts := randomPipeline(r, u, 4)
 		states := make([]int32, len(auts))
-		conn := ca.ExpandJoint(auts, states, ca.ExpandConnected)
-		full := ca.ExpandJoint(auts, states, ca.ExpandFull)
-		key := func(j ca.Joint) string {
-			return j.Sync.String() + "|" + string(encodeTargets(j.Targets))
+		conn := ca.NewExpander(auts, ca.ExpandConnected).Expand(states, nil)
+		full := ca.NewExpander(auts, ca.ExpandFull).Expand(states, nil)
+		key := func(c *ca.Cluster) string {
+			targets := append([]int32(nil), states...)
+			c.Apply(targets)
+			return c.Sync.String() + "|" + string(encodeTargets(targets))
 		}
 		fullSet := map[string]bool{}
 		for _, j := range full {
@@ -129,7 +131,7 @@ func TestExpandAfterUniverseGrowth(t *testing.T) {
 	}
 	c := u.FreshPort("c") // id > 63
 	late := prim.Sync(u, b, c)
-	joints := ca.ExpandJoint([]*ca.Automaton{early, late}, []int32{0, 0}, ca.ExpandConnected)
+	joints := ca.NewExpander([]*ca.Automaton{early, late}, ca.ExpandConnected).Expand([]int32{0, 0}, nil)
 	if len(joints) != 1 {
 		t.Fatalf("joints = %d, want 1", len(joints))
 	}

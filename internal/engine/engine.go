@@ -50,17 +50,17 @@ type Options struct {
 	MaxStates int
 	// MaxTauBurst bounds consecutive internal steps (0 = 1<<20).
 	MaxTauBurst int
-	// Workers selects the dedicated concurrent runtime for
-	// NewMultiRegions: the number of pool workers region engines fire on
-	// (capped at the region count), with cross-region nudges posted as
-	// wake-ups. 0 runs the synchronous nudge-draining path on the
-	// callers' goroutines; negative means GOMAXPROCS. Ignored outside
-	// region partitioning, and mutually exclusive with Runtime.
+	// Workers selects the dedicated concurrent runtime of a Multi: the
+	// number of pool workers region engines fire on (capped at the region
+	// count), with cross-region nudges posted as wake-ups. 0 runs the
+	// synchronous nudge-draining path on the callers' goroutines;
+	// negative means GOMAXPROCS. Ignored by New, and mutually exclusive
+	// with Runtime.
 	Workers int
-	// Runtime attaches the region engines to a shared worker pool
-	// (runtime.go) instead of starting a dedicated one: many instances
-	// multiplex over its fixed workers, and Close detaches rather than
-	// tearing the pool down. Only meaningful for NewMultiRegions.
+	// Runtime attaches the region engines of a Multi to a shared worker
+	// pool (runtime.go) instead of starting a dedicated one: many
+	// instances multiplex over its fixed workers, and Close detaches
+	// rather than tearing the pool down. Ignored by New.
 	Runtime *Runtime
 }
 
@@ -145,15 +145,12 @@ type Engine struct {
 	portBuf  []ca.PortID
 	rng      pickRNG
 	closed   bool
-	// node marks a region that holds one synthesized node and nothing
-	// else, whose transition needs no dispatch (see initLinks): a relay,
-	// whose port faces no task, between one inbound and some outbound
-	// links, or, with endpoint set, a region whose port faces a task and
-	// holds one link to a region of this process. Its passes, and an
-	// endpoint's registrations, run nodePass instead of the fire loop.
-	// Both sit beside closed, in what would be padding, so the fields the
+	// endpoint marks a region that holds one synthesized node and nothing
+	// else, whose port faces a task and holds one link to a region of this
+	// process (see initLinks): its transition needs no dispatch, so its
+	// passes and registrations run nodePass instead of the fire loop. It
+	// sits beside closed, in what would be padding, so the fields the
 	// firing path reads keep their offsets.
-	node     bool
 	endpoint bool
 	broken   error
 	tracer   Tracer
@@ -286,9 +283,9 @@ func newEngine(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Engine, err
 
 // finish completes construction after any link endpoints are attached:
 // for AOT composition the reachable composite space is expanded now,
-// except on a relay or endpoint region, which never dispatches.
+// except on an endpoint region, which never dispatches.
 func (e *Engine) finish() error {
-	if e.opts.Composition == AOT && !e.node {
+	if e.opts.Composition == AOT && !e.endpoint {
 		return e.expandAll()
 	}
 	return nil

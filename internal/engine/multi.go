@@ -8,16 +8,17 @@ import (
 	"repro/internal/ca"
 )
 
-// Multi is the region-partitioned coordinator (NewMultiRegions,
-// region.go): the router over independently locked region engines. The
-// plan unions constituents sharing a port, so connected components of
-// the shared-port graph never share an engine (the optimization of
-// §V-C(3), after Jongmans, Santini & Arbab, "Partially distributed
-// coordination with Reo and constraint automata"), and then cuts at
-// buffers: a full buffer never requires consensus across it, so even a
-// single component decomposes into synchronous regions joined by
-// bounded links, each firing concurrently. Per-state expansion work is
-// exponential only in the largest region, not in the whole connector.
+// Multi is the coordinator of a connector instance: the router over its
+// independently locked region engines (region.go). NewOneRegion runs
+// every constituent as one region. NewMultiRegions plans the regions: it
+// unions constituents sharing a port, so connected components of the
+// shared-port graph never share an engine (the optimization of §V-C(3),
+// after Jongmans, Santini & Arbab, "Partially distributed coordination
+// with Reo and constraint automata"), and then cuts at buffers: a full
+// buffer never requires consensus across it, so even a single component
+// decomposes into synchronous regions joined by bounded links, each
+// firing concurrently. Per-state expansion work is exponential only in
+// the largest region, not in the whole connector.
 type Multi struct {
 	engines []*Engine
 	owner   []int // port -> engine index (-1 if unknown)
@@ -29,6 +30,8 @@ type Multi struct {
 	plan  *ca.RegionPlan
 	links []*link
 	folds []fold
+	// group ties the engines together; nil for a one-region plan hosted
+	// here, whose engine runs as a plain engine.
 	group *regionGroup
 	// transport is the placement's link transport (nil for a fully
 	// local coordinator); closed by Close after the engines.
@@ -84,9 +87,9 @@ type PartitionInfo struct {
 	Steps, Expansions, GuardEvals int64
 }
 
-// live returns the partition engines hosted in this process (every
-// engine for an unplaced coordinator), without the relay regions spliced
-// into a link.
+// live returns the partition engines hosted in this process, without the
+// relay regions spliced into a link: the group's, or the one engine of a
+// coordinator without a group.
 func (m *Multi) live() []*Engine {
 	if m.group != nil {
 		return m.group.engines
@@ -132,6 +135,16 @@ func (m *Multi) engineFor(p ca.PortID) (*Engine, error) {
 		return nil, fmt.Errorf("engine: port %d has no engine here: region %d is a remote region or a relay spliced into a link", p, m.owner[p])
 	}
 	return e, nil
+}
+
+// PortCoordinator returns what operations on port p go to: the engine of
+// the region owning p, so that a port's operations skip the routing, or m
+// itself when no engine here owns p (an operation then fails naming why).
+func (m *Multi) PortCoordinator(p ca.PortID) Coordinator {
+	if e, err := m.engineFor(p); err == nil {
+		return e
+	}
+	return m
 }
 
 // Send routes to the owning partition.

@@ -19,18 +19,20 @@ type Coordinator interface {
 	// Expansions reports how many times a composite state has been
 	// expanded at run time. Every run of the expander counts: a state
 	// visited once costs 1 and a state kept on its second visit 2; a state
-	// a full bounded cache could not admit costs 1 on every visit. A relay
-	// region (a synthesized node between cut buffers, region.go) forwards
+	// a full bounded cache could not admit costs 1 on every visit. An
+	// endpoint region (a task's port and one link, region.go) moves items
 	// without expanding anything and adds 0.
 	Expansions() int64
 	// PlansCompiled reports how many transition plans have been compiled
 	// since construction; unlike the other counters it is not zeroed by
-	// Reset, since the plans it counts survive Reset too. A relay region
-	// compiles none.
+	// Reset, since the plans it counts survive Reset too. An endpoint
+	// region compiles none.
 	PlansCompiled() int64
 	// GuardEvals reports how many candidate transitions had their guards
 	// evaluated while dispatching — the engine's per-step matching work.
-	// A relay region counts one per hop, as the fire loop would.
+	// An endpoint region counts one per run of items it moves, as for one
+	// fire and its fused burst, and a spliced hop counts one, as the fire
+	// loop of its relay would have.
 	GuardEvals() int64
 	// OpsRegistered reports how many port operations have ever been
 	// accepted for pending (monotonic; completions do not decrement).

@@ -313,11 +313,11 @@ func (e *Engine) addEmit(p ca.PortID, l *link) {
 // addAccept/addEmit calls and before the engine expands any state (the
 // compiled plans depend on which ports are link endpoints). nodeOnly
 // reports that the region holds one synthesized node automaton and no
-// constituent of its own. Such a region with one port entry is a relay if
-// the port faces no task and has one inbound and at least one outbound
-// link, and an endpoint if it faces a task — a sending one with exactly
-// one outbound link, a receiving one with exactly one inbound link — and
-// that link's far side is a region of this process. Either runs nodePass.
+// constituent of its own. Such a region with one port entry is an
+// endpoint if the port faces a task — a sending one with exactly one
+// outbound link, a receiving one with exactly one inbound link — and that
+// link's far side is a region of this process; it runs nodePass. Every
+// other region, a relay left after splicing included, runs the fire loop.
 func (e *Engine) initLinks(nodeOnly bool) {
 	if len(e.ends) == 0 {
 		return
@@ -328,16 +328,12 @@ func (e *Engine) initLinks(nodeOnly bool) {
 		e.linkGate.Set(e.ends[i].port)
 	}
 	if end := &e.ends[0]; nodeOnly && len(e.ends) == 1 {
-		relay := false
 		switch e.dirOf(end.port) {
-		case ca.DirNone:
-			relay = end.emit != nil && len(end.accept) > 0
 		case ca.DirSource:
 			e.endpoint = end.emit == nil && len(end.accept) == 1 && end.accept[0].dst != nil
 		case ca.DirSink:
 			e.endpoint = end.emit != nil && len(end.accept) == 0 && end.emit.src != nil
 		}
-		e.node = relay || e.endpoint
 	}
 	e.refreshLinks()
 }
@@ -459,9 +455,9 @@ func (e *Engine) commitLinkPort(p ca.PortID) {
 }
 
 // countHops counts the n relay steps a pop run on a spliced link stood
-// for, as the unspliced relays would have: n steps and, by the relay
-// rule, n guard evaluations, each step traced as internal. The fire that
-// popped counts its own step after these. Called with mu held.
+// for: n steps and n guard evaluations, one of each per spliced hop, each
+// step traced as internal. The fire that popped counts its own step after
+// these. Called with mu held.
 func (e *Engine) countHops(n int64) {
 	if n == 0 {
 		return
@@ -488,54 +484,45 @@ func (e *Engine) noteLink(far *Engine, l *link) {
 	}
 }
 
-// nodePass is the pass of a relay or endpoint region (see initLinks).
-// Its one transition moves an item from the input — the inbound link, or
-// an endpoint's pending send — to every output — the outbound links, or
-// an endpoint's pending receive — with no guard, no action and no other
-// state, so it needs no dispatch: the pass moves as many items as the
-// input offers and every output takes, as one run that publishes each
-// link once, as a fused burst does. It then nudges each neighbor once and
-// completes an exhausted operation. A node pass never expands a state or
-// compiles a plan.
+// nodePass is the pass of an endpoint region (see initLinks). Its one
+// transition moves an item between the pending operation and the one
+// link — from a send into the outbound link, or from the inbound link
+// into a receive — with no guard, no action and no other state, so it
+// needs no dispatch: the pass moves as many items as the operation and
+// the link allow, as one run that publishes the link once, as a fused
+// burst does. It then nudges the neighbor and completes an exhausted
+// operation. A node pass never expands a state or compiles a plan.
 //
 // It counts what the fire loop counts: a step per item, plus the relay
-// hops an item popped from a spliced link stands for (countHops); a guard
-// evaluation per run on an endpoint, as for one fire and its fused burst,
-// and per item on a relay, as for its unfused hops. Traced, an item's hops
-// come first, then its own step: the port's event on an endpoint, an
-// internal one on a relay. It reports its progress as fireLoop does, so
-// the τ-burst budgets of walk and noteTauProgress still break a closed
-// cycle of relays. Called with mu held.
+// hops an item popped from a spliced link stands for (countHops), and a
+// guard evaluation per run, as for one fire and its fused burst. Traced,
+// an item's hops come first, then the port's event. Called with mu held.
 func (e *Engine) nodePass() {
 	e.fireCompleted, e.fireLinkActive = false, false
 	if e.broken != nil {
 		return
 	}
 	end := &e.ends[0]
-	p, in := end.port, end.emit
-	o := e.pend[p]
+	p := end.port
 	n, _ := e.gateBudget(p, math.MaxInt)
 	if n == 0 {
-		return
+		return // no operation pending, or the link has no item or no room
 	}
+	// in is the inbound link of a receiving endpoint, nil on a sending one,
+	// whose one link is end.accept[0].
+	o, in := e.pend[p], end.emit
 	for range n {
 		var v any
 		if in != nil {
 			v = in.popDefer()
+			o.vals[o.cur] = v
 		} else {
 			v = o.vals[o.cur]
+			end.accept[0].pushDefer(v)
 		}
-		for _, l := range end.accept {
-			l.pushDefer(v)
-		}
-		if o != nil {
-			if !o.send {
-				o.vals[o.cur] = v
-			}
-			o.cur++
-		}
+		o.cur++
 		if e.tracer != nil {
-			e.traceNode(in, o, v)
+			e.traceNode(in, v)
 		}
 	}
 	if e.tracer == nil {
@@ -544,50 +531,38 @@ func (e *Engine) nodePass() {
 		}
 		e.steps.Add(int64(n))
 	}
-	if o != nil {
-		e.guardEvals.Add(1)
-	} else {
-		e.guardEvals.Add(int64(n))
-	}
+	e.guardEvals.Add(1)
 	if in != nil {
 		in.commitPops()
-		e.noteLink(in.src, in)
+		e.noteNudge(in.src)
+	} else {
+		out := end.accept[0]
+		out.commitPushes()
+		e.noteNudge(out.dst)
 	}
-	for _, l := range end.accept {
-		l.commitPushes()
-		e.noteLink(l.dst, l)
-	}
-	e.fireLinkActive = true
-	if o != nil {
-		e.fireCompleted = true
-		if o.cur == len(o.vals) {
-			e.complete(p, o, nil)
-		}
+	e.fireCompleted, e.fireLinkActive = true, true
+	if o.cur == len(o.vals) {
+		e.complete(p, o, nil)
 	}
 }
 
 // traceNode counts and traces the step of one item a node pass moved:
 // first the hops it stands for if it came off a spliced link, then its
-// own step, carrying the port's value when operation o took part.
-// Called with mu held.
-func (e *Engine) traceNode(in *link, o *op, v any) {
+// own step, carrying the port's value. Called with mu held.
+func (e *Engine) traceNode(in *link, v any) {
 	if in != nil && in.hops != 0 {
 		e.countHops(in.hopsOf(1))
 	}
-	ev := TraceEvent{Step: e.steps.Add(1), Internal: o == nil}
-	if o != nil {
-		p := e.ends[0].port
-		ev.Ports = []TracePort{{Name: e.u.Name(p), Dir: e.dirs[p], Val: v}}
-	}
-	e.tracer(ev)
+	p := e.ends[0].port
+	e.tracer(TraceEvent{Step: e.steps.Add(1), Ports: []TracePort{{Name: e.u.Name(p), Dir: e.dirs[p], Val: v}}})
 }
 
 // pass runs one pass of e on behalf of a wake-up rather than a fresh
 // operation — a neighbor's nudge, a transport read, the initial settle:
-// the node pass on a relay or endpoint region, the fire loop on any
-// other. Called with mu held.
+// the node pass on an endpoint region, the fire loop on any other. Called
+// with mu held.
 func (e *Engine) pass() {
-	if e.node {
+	if e.endpoint {
 		e.nodePass()
 		return
 	}
@@ -760,10 +735,13 @@ func (e *Engine) linkCount() int {
 // nothing else, its port faces no task, it has exactly one inbound and one
 // outbound link, and it and both its neighbors are hosted here. A chain
 // runs from a region that is no such relay through one or more relays to
-// the next region that is none. Left out, so their relays keep nodePass:
-// a chain whose two ends are one region, and a closed cycle of relays,
-// which no other region feeds.
+// the next region that is none. Left out, so their relays run the fire
+// loop: a chain whose two ends are one region, and a closed cycle of
+// relays, which no other region feeds.
 func relayChains(u *ca.Universe, plan *ca.RegionPlan, hosted func(int) bool) [][]int {
+	if len(plan.Links) == 0 {
+		return nil
+	}
 	// in/out hold a region's one inbound/outbound link, -1 for none and
 	// -2 for several.
 	in := make([]int, len(plan.Regions))
@@ -874,7 +852,7 @@ func NewMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Multi
 // static templates via Engine.BindGen; a bind that declines (or fails)
 // simply leaves that region interpreted, so mixed instances are fine.
 func NewMultiRegionsBound(u *ca.Universe, auts []*ca.Automaton, opts Options, bind func(ri int, spec ca.RegionSpec, eng *Engine)) (*Multi, error) {
-	return newMultiRegions(u, auts, opts, Placement{}, bind)
+	return newMultiRegions(u, auts, opts, ca.PlanRegions, Placement{}, bind)
 }
 
 // NewMultiRegionsPlaced is NewMultiRegions with a placement: only the
@@ -886,10 +864,27 @@ func NewMultiRegionsPlaced(u *ca.Universe, auts []*ca.Automaton, opts Options, p
 	if pl.Transport == nil {
 		return nil, errors.New("engine: placement without a transport")
 	}
-	return newMultiRegions(u, auts, opts, pl, nil)
+	return newMultiRegions(u, auts, opts, ca.PlanRegions, pl, nil)
 }
 
-func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed Placement, bind func(ri int, spec ca.RegionSpec, eng *Engine)) (*Multi, error) {
+// NewOneRegion runs all constituents as one region under one lock: the
+// plan with no cut, built directly, with no node automata. Its engine is
+// the one New builds, with the same seed, on the plain engine's path: no
+// region group, so no walk and no nudges.
+func NewOneRegion(u *ca.Universe, auts []*ca.Automaton, opts Options) (*Multi, error) {
+	return newMultiRegions(u, auts, opts, oneRegion, Placement{}, nil)
+}
+
+// oneRegion plans every constituent into one region with no link.
+func oneRegion(_ *ca.Universe, auts []*ca.Automaton) *ca.RegionPlan {
+	whole := ca.RegionSpec{Auts: make([]int, len(auts))}
+	for i := range whole.Auts {
+		whole.Auts[i] = i
+	}
+	return &ca.RegionPlan{Regions: []ca.RegionSpec{whole}}
+}
+
+func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, planner func(*ca.Universe, []*ca.Automaton) *ca.RegionPlan, placed Placement, bind func(ri int, spec ca.RegionSpec, eng *Engine)) (*Multi, error) {
 	if len(auts) == 0 {
 		return nil, errors.New("engine: no constituent automata")
 	}
@@ -898,7 +893,7 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 			return nil, errors.New("engine: constituent from foreign universe")
 		}
 	}
-	plan := ca.PlanRegions(u, auts)
+	plan := planner(u, auts)
 	if placed.Hosted != nil && len(placed.Hosted) != len(plan.Regions) {
 		return nil, fmt.Errorf("engine: placement hosts %d regions, plan has %d", len(placed.Hosted), len(plan.Regions))
 	}
@@ -922,7 +917,12 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 		}
 	}
 
-	group := &regionGroup{}
+	// One region needs no group: nothing to break along with it, no
+	// neighbor to walk. A placement keeps it, for the transport's hooks.
+	var group *regionGroup
+	if len(plan.Regions) > 1 || placed.Transport != nil {
+		group = &regionGroup{}
+	}
 	m := &Multi{owner: make([]int, u.NumPorts()), plan: plan,
 		group: group, transport: placed.Transport}
 	for i := range m.owner {
@@ -956,8 +956,10 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 			m.Close()
 			return nil, fmt.Errorf("engine: region %d: %w", ri, err)
 		}
-		eng.group = group
-		group.engines = append(group.engines, eng)
+		if group != nil {
+			eng.group = group
+			group.engines = append(group.engines, eng)
+		}
 		m.engines = append(m.engines, eng)
 	}
 
@@ -1024,15 +1026,15 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 		// concurrently with) the first Send/Recv, which parks until a
 		// fire completes its operation either way.
 		m.sched = opts.Runtime
-		m.sched.attach(group.engines)
+		m.sched.attach(m.live())
 	case opts.Workers != 0:
 		// Dedicated runtime (runtime.go): a worker pool owned by this
 		// coordinator, sized by the caller and torn down at Close.
-		m.sched = newDedicatedRuntime(opts.Workers, group.engines)
+		m.sched = newDedicatedRuntime(opts.Workers, m.live())
 	default:
 		// Settle initially full links (Fifo1Full seeds) so relay fires
 		// that need no task operation happen before the first Send/Recv.
-		for _, e := range group.engines {
+		for _, e := range m.live() {
 			e.settle()
 		}
 	}

@@ -602,9 +602,12 @@ func TestRegionsSpliceSeedOrder(t *testing.T) {
 // TestRegionsSpliceKeepsRelays: only a relay with one inbound and one
 // outbound link between two other regions of the process splices. A
 // fan-out relay, a relay on a loop out of and back into one region, and a
-// closed cycle of relays keep their engines and the node pass; a chain
-// ending at a fan-out relay still splices, and that relay counts the
-// chain's hops with its own.
+// closed cycle of relays keep their engines and run the fire loop, as any
+// region holding a node does: each fire of a relay is one step and one
+// guard evaluation (a capacity-1 link leaves no fused burst), and its one
+// state is expanded twice, on its first visit and when kept on its
+// second. A chain ending at a fan-out relay still splices, and that relay
+// counts the chain's hops with its own.
 func TestRegionsSpliceKeepsRelays(t *testing.T) {
 	const items = 40
 	t.Run("fan-out", func(t *testing.T) {
@@ -643,8 +646,8 @@ func TestRegionsSpliceKeepsRelays(t *testing.T) {
 			case in.Links == 3:
 				fanOut++
 				// Its own hop and m1's, one guard evaluation each.
-				if in.Steps != 2*items || in.GuardEvals != 2*items || in.Expansions != 0 {
-					t.Errorf("fan-out relay %d: steps %d, guard evaluations %d, expansions %d; want %d, %d, 0",
+				if in.Steps != 2*items || in.GuardEvals != 2*items || in.Expansions != 2 {
+					t.Errorf("fan-out relay %d: steps %d, guard evaluations %d, expansions %d; want %d, %d, 2",
 						ri, in.Steps, in.GuardEvals, in.Expansions, 2*items, 2*items)
 				}
 			}
@@ -682,8 +685,9 @@ func TestRegionsSpliceKeepsRelays(t *testing.T) {
 			}
 			if in.Links == 2 && in.Constituents == 1 {
 				relays++
-				if in.Steps != items {
-					t.Errorf("relay region %d: %d steps, want %d", ri, in.Steps, items)
+				if in.Steps != items || in.GuardEvals != items || in.Expansions != 2 {
+					t.Errorf("relay region %d: steps %d, guard evaluations %d, expansions %d; want %d, %d, 2",
+						ri, in.Steps, in.GuardEvals, in.Expansions, items, items)
 				}
 			}
 		}
@@ -694,7 +698,8 @@ func TestRegionsSpliceKeepsRelays(t *testing.T) {
 	t.Run("cycle", func(t *testing.T) {
 		// The closed relay cycle of TestRegionsClosedCycleLivelocks: no
 		// other region feeds it, so both relays keep their engines and the
-		// walk's budget breaks the connector.
+		// walk's budget breaks the connector. The relays fire once in the
+		// settle pass and once in each of the walk's MaxTauBurst passes.
 		u := ca.NewUniverse()
 		x, y, a, b := u.Port("x"), u.Port("y"), u.Port("a"), u.Port("b")
 		u.SetDir(a, ca.DirSource)
@@ -719,6 +724,20 @@ func TestRegionsSpliceKeepsRelays(t *testing.T) {
 		}
 		if _, err := m.Recv(b); !errors.Is(err, engine.ErrLivelock) {
 			t.Errorf("lane recv = %v, want ErrLivelock", err)
+		}
+		var steps int64
+		for ri, in := range m.Infos() {
+			if in.Links != 2 {
+				continue
+			}
+			steps += in.Steps
+			if in.GuardEvals != in.Steps || in.Expansions != 2 {
+				t.Errorf("relay region %d: steps %d, guard evaluations %d, expansions %d; want guard evaluations = steps, 2 expansions",
+					ri, in.Steps, in.GuardEvals, in.Expansions)
+			}
+		}
+		if steps != 101 {
+			t.Errorf("relays fired %d steps, want 101", steps)
 		}
 	})
 }

@@ -29,9 +29,10 @@
 //     over tables lowered from closures instead of compiled plans) shares
 //     its region plan, choice streams, and cooperative scheduling, and
 //     is compared strictly (per-port sequences, Steps, GuardEvals) on
-//     every connector. All other lanes — WithWorkers, WithRuntime,
-//     batch re-chunking, PartitionOff, AOT — differ in
-//     structure or scheduling, so the grammar marks each connector
+//     every connector. The other four lanes — a 2-worker runtime (the
+//     scheduler WithWorkers and WithRuntime share), batch re-chunking,
+//     PartitionOff and AOT — differ in structure or scheduling, so the
+//     grammar marks each connector
 //     deterministic (no choice primitives, single-writer vertices) or
 //     choice-bearing, and runOrder compares accordingly: deterministic
 //     connectors must reproduce the reference's sequences on every

@@ -121,15 +121,15 @@ type Lane struct {
 }
 
 // allLanes is the lane matrix a backends selector picks from: "all" or
-// a comma-separated subset of gen, workers, runtime, batch2, off, aot.
+// a comma-separated subset of gen, runtime, batch2, off, aot.
 var allLanes = []Lane{
 	{Name: "gen", Group: "regions"},
-	// Scheduling lanes drain cross-region propagation eagerly on their
-	// own goroutines, where the cooperative reference defers it to the
-	// next operation — decision points (and so merge orders) legitimately
-	// differ, so they are sequence-compared on deterministic connectors
-	// only. Strict parity is the gen lane's contract.
-	{Name: "workers", Group: "single", Async: true, SkipCounters: true},
+	// The scheduling lane drains cross-region propagation eagerly on its
+	// workers, where the cooperative reference defers it to the next
+	// operation — decision points (and so merge orders) legitimately
+	// differ, so it is sequence-compared on deterministic connectors
+	// only. Strict parity is the gen lane's contract. A WithWorkers pool
+	// is a private runtime on the same scheduler, so this lane covers it.
 	{Name: "runtime", Group: "single", Async: true, SkipCounters: true},
 	// Re-chunking moves the engine's decision points (each op
 	// registration is a dispatch scan), so merge choices resolve at
@@ -141,11 +141,11 @@ var allLanes = []Lane{
 }
 
 // NewBackend builds a fresh instance of the connector for the named
-// lane. The returned close function releases it (lanes with dedicated
-// runtimes tear them down). mutate injects the candidate-ordering
-// off-by-one into the generated lane's templates (mutation self-check
-// only). genBound reports how many regions run generated dispatch (0
-// for interpreted lanes).
+// lane. The returned close function releases it (the runtime lane tears
+// its runtime down). mutate injects the candidate-ordering off-by-one
+// into the generated lane's templates (mutation self-check only).
+// genBound reports how many regions run generated dispatch (0 for
+// interpreted lanes).
 func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend, closeFn func() error, genBound int, err error) {
 	asm, err := bc.instantiate()
 	if err != nil {
@@ -160,9 +160,6 @@ func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend
 		bind, bound := gen.InProcBinder(asm, gen.InProcOptions{MutateRotateCandidates: mutate})
 		coord, err = engine.NewMultiRegionsBound(asm.U, asm.Auts, opts, bind)
 		genBound = *bound
-	case "workers":
-		opts.Workers = 2
-		coord, err = engine.NewMultiRegions(asm.U, asm.Auts, opts)
 	case "runtime":
 		rt := engine.NewRuntime(2)
 		coord, err = engine.NewMultiRegions(asm.U, asm.Auts, withRuntime(opts, rt))

@@ -600,7 +600,7 @@ func WithStaticSimplify(on bool) ConnectOption {
 
 // Instance is a live connector coordinating tasks through its ports.
 type Instance struct {
-	coord engine.Coordinator
+	coord *engine.Multi
 	asm   *compile.Assembly
 
 	outs map[string][]*engine.Outport
@@ -653,18 +653,21 @@ func (c *Connector) Connect(lengths map[string]int, opts ...ConnectOption) (*Ins
 	}
 	for name, ports := range asm.Tails {
 		for _, p := range ports {
-			inst.outs[name] = append(inst.outs[name], engine.NewOutport(coord, p, asm.U.Name(p)))
+			inst.outs[name] = append(inst.outs[name], engine.NewOutport(coord.PortCoordinator(p), p, asm.U.Name(p)))
 		}
 	}
 	for name, ports := range asm.Heads {
 		for _, p := range ports {
-			inst.ins[name] = append(inst.ins[name], engine.NewInport(coord, p, asm.U.Name(p)))
+			inst.ins[name] = append(inst.ins[name], engine.NewInport(coord.PortCoordinator(p), p, asm.U.Name(p)))
 		}
 	}
 	return inst, nil
 }
 
-func buildCoordinator(asm *compile.Assembly, name string, cfg *connectCfg) (engine.Coordinator, error) {
+// buildCoordinator builds the instance's coordinator: the regions
+// ca.PlanRegions cuts under PartitionRegions, else one region holding
+// every constituent, or the static product under WithMode(Static).
+func buildCoordinator(asm *compile.Assembly, name string, cfg *connectCfg) (*engine.Multi, error) {
 	eopts := engine.Options{
 		Expand:    cfg.expand,
 		CacheSize: cfg.cacheSize,
@@ -695,7 +698,7 @@ func buildCoordinator(asm *compile.Assembly, name string, cfg *connectCfg) (engi
 			}
 			large = simplified
 		}
-		return engine.New(asm.U, []*ca.Automaton{large}, eopts)
+		return engine.NewOneRegion(asm.U, []*ca.Automaton{large}, eopts)
 	case AOT:
 		eopts.Composition = engine.AOT
 	default:
@@ -707,13 +710,13 @@ func buildCoordinator(asm *compile.Assembly, name string, cfg *connectCfg) (engi
 		}
 		return engine.NewMultiRegions(asm.U, asm.Auts, eopts)
 	}
-	return engine.New(asm.U, asm.Auts, eopts)
+	return engine.NewOneRegion(asm.U, asm.Auts, eopts)
 }
 
 // buildRemote resolves the topology against the instance's region plan
 // and builds the placed coordinator over a TCP transport. Assignment
 // mistakes surface as *OptionError before anything listens or dials.
-func buildRemote(asm *compile.Assembly, name string, cfg *connectCfg, eopts engine.Options) (engine.Coordinator, error) {
+func buildRemote(asm *compile.Assembly, name string, cfg *connectCfg, eopts engine.Options) (*engine.Multi, error) {
 	topo := cfg.remote
 	bad := func(format string, args ...any) error {
 		return &OptionError{Option: "WithRemoteRegions", Reason: fmt.Sprintf(format, args...)}
@@ -818,8 +821,7 @@ func (i *Instance) Inport(param string) Inport {
 func (i *Instance) Close() error {
 	err := i.coord.Close()
 	if i.pool != nil && i.pooling.CompareAndSwap(false, true) {
-		type resetter interface{ Reset() error }
-		if r, ok := i.coord.(resetter); ok && r.Reset() == nil {
+		if i.coord.Reset() == nil {
 			i.pool.put(i)
 		}
 		// A coordinator that cannot reset is simply dropped: the next
@@ -852,30 +854,21 @@ func (i *Instance) PlansCompiled() int64 { return i.coord.PlansCompiled() }
 // transitions considered per fired global step.
 func (i *Instance) GuardEvals() int64 { return i.coord.GuardEvals() }
 
-// Constituents returns the number of constituent automata of the
-// instance (1 in Static mode).
+// Constituents returns the number of constituent automata the connector
+// instantiated, len(Automata()), in every mode: under WithMode(Static)
+// the one product automaton that executes is Regions()[0].Constituents.
 func (i *Instance) Constituents() int { return len(i.asm.Auts) }
 
 // Partitions returns the number of partitions planned (1 unless
 // partitioning is enabled). Under PartitionRegions that counts a relay
 // region spliced into a link, and one another process hosts, though
 // neither runs an engine here.
-func (i *Instance) Partitions() int {
-	if m, ok := i.coord.(*engine.Multi); ok {
-		return m.Partitions()
-	}
-	return 1
-}
+func (i *Instance) Partitions() int { return i.coord.Partitions() }
 
 // Workers returns the size of the scheduler pool the instance's regions
 // fire on (see WithWorkers), or 0 when cross-region progress is driven
 // synchronously by the tasks' own goroutines.
-func (i *Instance) Workers() int {
-	if m, ok := i.coord.(*engine.Multi); ok {
-		return m.Workers()
-	}
-	return 0
-}
+func (i *Instance) Workers() int { return i.coord.Workers() }
 
 // RegionInfo is a per-partition statistics snapshot (see
 // Instance.Regions).
@@ -907,29 +900,12 @@ type RegionInfo struct {
 // or one another process hosts — has an empty entry with Worker -1. An
 // endpoint region has Endpoint set.
 func (i *Instance) Regions() []RegionInfo {
-	if m, ok := i.coord.(*engine.Multi); ok {
-		infos := m.Infos()
-		out := make([]RegionInfo, len(infos))
-		for k, in := range infos {
-			out[k] = RegionInfo{
-				Constituents: in.Constituents,
-				Links:        in.Links,
-				Worker:       in.Worker,
-				Endpoint:     in.Endpoint,
-				Steps:        in.Steps,
-				Expansions:   in.Expansions,
-				GuardEvals:   in.GuardEvals,
-			}
-		}
-		return out
+	infos := i.coord.Infos()
+	out := make([]RegionInfo, len(infos))
+	for k, in := range infos {
+		out[k] = RegionInfo(in)
 	}
-	return []RegionInfo{{
-		Constituents: len(i.asm.Auts),
-		Worker:       -1,
-		Steps:        i.coord.Steps(),
-		Expansions:   i.coord.Expansions(),
-		GuardEvals:   i.coord.GuardEvals(),
-	}}
+	return out
 }
 
 // SetTracer installs a hook receiving a rendered description of every
@@ -938,16 +914,11 @@ func (i *Instance) Regions() []RegionInfo {
 // engine's critical section: keep it fast and do not perform port
 // operations from it.
 func (i *Instance) SetTracer(fn func(string)) {
-	type traceable interface{ SetTracer(engine.Tracer) }
-	tr, ok := i.coord.(traceable)
-	if !ok {
-		return
-	}
 	if fn == nil {
-		tr.SetTracer(nil)
+		i.coord.SetTracer(nil)
 		return
 	}
-	tr.SetTracer(func(e engine.TraceEvent) { fn(e.String()) })
+	i.coord.SetTracer(func(e engine.TraceEvent) { fn(e.String()) })
 }
 
 // Backend is the name-addressed runtime contract shared by interpreted

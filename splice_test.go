@@ -209,7 +209,7 @@ func checkChainTrace(t *testing.T, trace []string, items int) {
 // TestRemoteTracerSplicedChain places relayChainProto's chain a → m1 → m2
 // → m3 → b with a, m1 and m2 on node a and m3 and b on node b. On node a
 // the relay m1 splices into a link a → m2, and m2, whose outbound link is
-// a half link, pops that link in its node pass, counting m1's hop with
+// a half link, pops that link in its fire loop, counting m1's hop with
 // its own. The delivered sequence and the step total equal the in-process
 // run's. A tracer installed on both nodes — whose coordinators hold no
 // engine for the remote and the spliced regions — sees every step once,
