@@ -5,7 +5,6 @@
 package reo_test
 
 import (
-	"runtime"
 	"testing"
 
 	reo "repro"
@@ -70,11 +69,9 @@ func TestBatchPartialOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		// The receive below fires the buffered item (global step 2) and
-		// then parks with two slots unfilled; close it out.
-		for inst.Steps() < 2 {
-			runtime.Gosched()
-		}
+		// The receive below fires the buffered item and then parks with
+		// two slots unfilled; close it out.
+		waitParked(inst.Backend(), 1)
 		inst.Close()
 	}()
 	buf := make([]any, 3)
@@ -108,9 +105,7 @@ func TestBatchEmptyAndBusy(t *testing.T) {
 	// operation on the same port must be rejected.
 	errc := make(chan error, 1)
 	go func() { errc <- out.SendBatch([]any{1, 2}) }()
-	for inst.Steps() < 1 {
-		runtime.Gosched()
-	}
+	waitParked(inst.Backend(), 1)
 	if err := out.Send(9); err == nil {
 		t.Error("second operation on a port with a pending batch succeeded")
 	}

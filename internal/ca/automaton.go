@@ -288,28 +288,3 @@ func (a *Automaton) String() string {
 	}
 	return sb.String()
 }
-
-// locStr renders a Loc for debugging.
-func (a *Automaton) locStr(l Loc) string {
-	switch l.Kind {
-	case LocPort:
-		return a.U.Name(l.Port)
-	case LocCell:
-		return fmt.Sprintf("cell%d", l.Cell)
-	default:
-		return fmt.Sprintf("%v", l.Const)
-	}
-}
-
-// DumpTransition renders one transition in detail, for cmd/reoc.
-func (a *Automaton) DumpTransition(t *Transition) string {
-	var sb strings.Builder
-	sb.WriteString("{" + strings.Join(a.U.PortSetNames(t.Sync), ",") + "}")
-	for _, g := range t.Guards {
-		fmt.Fprintf(&sb, " [%s(%s)]", g.Name, a.locStr(g.In))
-	}
-	for _, act := range t.Acts {
-		fmt.Fprintf(&sb, " %s:=%s", a.locStr(act.Dst), a.locStr(act.Src))
-	}
-	return sb.String()
-}

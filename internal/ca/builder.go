@@ -49,12 +49,6 @@ func (tb *TransitionBuilder) Move(dst, src Loc) *TransitionBuilder {
 	return tb
 }
 
-// MoveX adds a data action dst := xform(src).
-func (tb *TransitionBuilder) MoveX(dst, src Loc, xform func(any) any) *TransitionBuilder {
-	tb.t.Acts = append(tb.t.Acts, Action{Dst: dst, Src: src, Xform: xform})
-	return tb
-}
-
 // MoveXN adds a data action dst := xform(src) where xform came from a
 // named registration; the name travels on the action so the static code
 // generator can reference the function from generated source.

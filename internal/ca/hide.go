@@ -46,14 +46,3 @@ func writesCell(acts []Action) bool {
 	}
 	return false
 }
-
-// HideByName hides the named ports (ignoring names not in the universe).
-func HideByName(a *Automaton, names ...string) *Automaton {
-	h := a.U.NewSet()
-	for _, n := range names {
-		if p, ok := a.U.Lookup(n); ok {
-			h.Set(p)
-		}
-	}
-	return Hide(a, h)
-}

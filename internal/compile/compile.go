@@ -233,11 +233,19 @@ type medNode struct {
 	// composition was skipped (size fallback or shared-writer safety).
 	auts []*ca.Automaton
 	u    *ca.Universe
-	// ports maps template ports to their symbolic form.
-	ports map[ca.PortID]symPort
+	// ports lists the template ports interned or inserted here with their
+	// symbolic form, in port order: instantiation creates the instance
+	// ports in this order, so it numbers them alike on every run.
+	ports []medPort
 	// reads/writes record per-automaton roles (parallel to auts).
 	reads  []ca.BitSet
 	writes []ca.BitSet
+}
+
+// medPort is one entry of medNode.ports.
+type medPort struct {
+	tp  ca.PortID
+	sym symPort
 }
 
 // dynPrimNode is a primitive whose arity depends on lengths (it has
@@ -355,7 +363,7 @@ func constInt(e ast.IntExpr) (int, bool) {
 // constituents over a fresh template universe.
 func (c *compiler) buildMedium(invs []*ast.Invoke, lvl *rawLevel) (*medNode, error) {
 	tu := ca.NewUniverse()
-	med := &medNode{u: tu, ports: make(map[ca.PortID]symPort)}
+	med := &medNode{u: tu}
 	canon := make(map[string]ca.PortID)
 
 	intern := func(a ast.PortArg) ca.PortID {
@@ -367,7 +375,7 @@ func (c *compiler) buildMedium(invs []*ast.Invoke, lvl *rawLevel) (*medNode, err
 		canon[key] = p
 		sp := symPort{name: a.Name, indices: a.Indices}
 		sp.private = c.privateTo(a.Name, lvl.id) && indexPrefixMatches(a.Indices, lvl.encl)
-		med.ports[p] = sp
+		med.ports = append(med.ports, medPort{p, sp})
 		return p
 	}
 	expand := func(args []ast.PortArg) ([]ca.PortID, error) {
@@ -426,11 +434,11 @@ func (c *compiler) buildMedium(invs []*ast.Invoke, lvl *rawLevel) (*medNode, err
 	for _, p := range parts {
 		p.writes.ForEach(func(v ca.PortID) { writerCount[v]++ })
 	}
-	for v, n := range writerCount {
-		if n < 2 {
+	for _, mp := range med.ports {
+		v, sp := mp.tp, mp.sym
+		if writerCount[v] < 2 {
 			continue
 		}
-		sp := med.ports[v]
 		if !sp.private {
 			// Possible external writers too; resolved at instantiation.
 			continue
@@ -441,7 +449,7 @@ func (c *compiler) buildMedium(invs []*ast.Invoke, lvl *rawLevel) (*medNode, err
 				continue
 			}
 			w := tu.FreshPort("mrg/" + tu.Name(v))
-			med.ports[w] = symPort{name: tu.Name(w), private: true}
+			med.ports = append(med.ports, medPort{w, symPort{name: tu.Name(w), private: true}})
 			parts[i].aut = ca.RemapPorts(parts[i].aut, map[ca.PortID]ca.PortID{v: w})
 			parts[i].writes.Clear(v)
 			newW := tu.NewSet()
@@ -481,10 +489,11 @@ func (c *compiler) buildMedium(invs []*ast.Invoke, lvl *rawLevel) (*medNode, err
 			}
 		}
 	}
-	for v, n := range writerCount {
-		if med.ports[v].private {
+	for _, mp := range med.ports {
+		if mp.sym.private {
 			continue
 		}
+		v, n := mp.tp, writerCount[mp.tp]
 		if n >= 2 || (n >= 1 && readerCount[v] >= 1) {
 			markSolo(v)
 		}
@@ -520,9 +529,9 @@ func (c *compiler) buildMedium(invs []*ast.Invoke, lvl *rawLevel) (*medNode, err
 			// Hide private vertices: they cannot be shared with any
 			// other medium, so they are pure internals of this one.
 			hidden := tu.NewSet()
-			for p, sp := range med.ports {
-				if sp.private {
-					hidden.Set(p)
+			for _, mp := range med.ports {
+				if mp.sym.private {
+					hidden.Set(mp.tp)
 				}
 			}
 			composed = ca.Hide(composed, hidden)

@@ -2,11 +2,13 @@ package compile_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ca"
 	"repro/internal/compile"
+	"repro/internal/connlib"
 	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/sema"
@@ -353,5 +355,44 @@ func TestMediumSimplifyOff(t *testing.T) {
 	}
 	if steps[0] != steps[1] {
 		t.Errorf("Steps: %d simplified, %d unsimplified; want equal", steps[0], steps[1])
+	}
+}
+
+// TestInstantiatePortOrder: instantiation is a pure function of the
+// template and the lengths. Every run numbers the instance ports alike,
+// so every run — and every process of a placed instance — plans the
+// same regions. A medium's ports used to be created in map order: 30
+// instantiations of TokenRing at N = 8 planned 16 different region sets.
+func TestInstantiatePortOrder(t *testing.T) {
+	for _, name := range []string{"TokenRing", "Sequencer"} {
+		t.Run(name, func(t *testing.T) {
+			d, err := connlib.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmpl := build(t, d.Src, d.DefName(), compile.Options{Simplify: true})
+			var names, plan string
+			for run := 0; run < 30; run++ {
+				asm, err := tmpl.Instantiate(d.Lengths(8))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				for p := 0; p < asm.U.NumPorts(); p++ {
+					fmt.Fprintf(&sb, "%d=%s ", p, asm.U.Name(ca.PortID(p)))
+				}
+				gotPlan := fmt.Sprintf("%+v", *ca.PlanRegions(asm.U, asm.Auts))
+				if run == 0 {
+					names, plan = sb.String(), gotPlan
+					continue
+				}
+				if sb.String() != names {
+					t.Fatalf("run %d numbered the ports differently:\n%s\nvs\n%s", run, sb.String(), names)
+				}
+				if gotPlan != plan {
+					t.Fatalf("run %d planned different regions:\n%s\nvs\n%s", run, gotPlan, plan)
+				}
+			}
+		})
 	}
 }

@@ -239,7 +239,8 @@ func (m *medNode) instantiate(b *InstBuilder, env *ienv) error {
 	b.instSeq++
 	prefix := fmt.Sprintf("inst%d", b.instSeq)
 	portMap := make(map[ca.PortID]ca.PortID, len(m.ports))
-	for tp, sp := range m.ports {
+	for _, mp := range m.ports {
+		tp, sp := mp.tp, mp.sym
 		if sp.private {
 			portMap[tp] = b.u.FreshPort(prefix + "/" + sp.name)
 			continue

@@ -33,11 +33,12 @@ type Backend interface {
 	// unknown parameters).
 	Ports(param string) []string
 	Close() error
-	// Steps, GuardEvals, and OpsRegistered mirror the Coordinator
-	// statistics of the same names.
+	// Steps, GuardEvals, Parked and Busy mirror the Coordinator
+	// methods of the same names.
 	Steps() int64
 	GuardEvals() int64
-	OpsRegistered() int64
+	Parked() int64
+	Busy() bool
 }
 
 // Named adapts a Coordinator to the Backend interface: it routes
@@ -163,7 +164,10 @@ func (n *Named) Steps() int64 { return n.c.Steps() }
 // GuardEvals implements Backend.
 func (n *Named) GuardEvals() int64 { return n.c.GuardEvals() }
 
-// OpsRegistered implements Backend.
-func (n *Named) OpsRegistered() int64 { return n.c.OpsRegistered() }
+// Parked implements Backend.
+func (n *Named) Parked() int64 { return n.c.Parked() }
+
+// Busy implements Backend.
+func (n *Named) Busy() bool { return n.c.Busy() }
 
 var _ Backend = (*Named)(nil)

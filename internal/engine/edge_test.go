@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -125,12 +124,9 @@ func TestDeterministicWithSeed(t *testing.T) {
 			done2 := make(chan struct{})
 			// Both sends must be pending when the receive registers, or
 			// the first fire has one candidate and draws nothing.
-			want := e.OpsRegistered() + 2
 			go func() { e.Send(i1, "a"); close(done1) }()
 			go func() { e.Send(i2, "b"); close(done2) }()
-			for e.OpsRegistered() < want {
-				runtime.Gosched()
-			}
+			engine.WaitParked(t, e, 2)
 			v, _ := e.Recv(o)
 			got = append(got, v)
 			v, _ = e.Recv(o)

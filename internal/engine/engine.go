@@ -210,9 +210,11 @@ type Engine struct {
 	steps      atomic.Int64
 	expansions atomic.Int64
 	guardEvals atomic.Int64
-	registered atomic.Int64
 	// plansCompiled, unlike the counters above, is not zeroed by Reset.
 	plansCompiled atomic.Int64
+	// parked gauges the operations waiting on their completion signal;
+	// Reset leaves it alone too (see Parked).
+	parked atomic.Int64
 }
 
 // New builds an engine over the constituent automata, which must all
@@ -602,6 +604,9 @@ func (e *Engine) do(p ca.PortID, send bool, vals []any, v any) (int, any, error)
 	if o == nil {
 		return n, out, err
 	}
+	// Counted only now, after register's walk: a counted op is one whose
+	// goroutine does nothing more until the completion signal (see Parked).
+	e.parked.Add(1)
 	<-o.done
 	n, out, err = o.cur, o.inline[0], o.err
 	o.clear()
@@ -671,7 +676,6 @@ func (e *Engine) register(p ca.PortID, send bool, vals []any, v any) (parked *op
 	o.vals = vals
 	e.pend[p] = o
 	e.pendMask.Set(p)
-	e.registered.Add(1)
 	if e.endpoint {
 		e.nodePass()
 	} else {
@@ -949,6 +953,7 @@ func (e *Engine) complete(p ca.PortID, o *op, err error) {
 	e.pend[p] = nil
 	e.pendMask.Clear(p)
 	if o.done != nil {
+		e.parked.Add(-1)
 		o.done <- struct{}{}
 	}
 }
@@ -1053,9 +1058,11 @@ func (e *Engine) break_(err error) {
 		// recycling must not reset an engine a stale break is still
 		// about to touch.
 		e.group.breakWG.Add(1)
+		e.group.breaking.Add(1)
 		g := e.group
 		go func() {
 			defer g.breakWG.Done()
+			defer g.breaking.Add(-1)
 			g.breakOthers(e, err)
 			if g.onBreak != nil {
 				// Transport hook (tcp.go): tell the peer nodes so their
@@ -1117,7 +1124,6 @@ func (e *Engine) Reset() error {
 	e.steps.Store(0)
 	e.expansions.Store(0)
 	e.guardEvals.Store(0)
-	e.registered.Store(0)
 	return nil
 }
 
@@ -1137,11 +1143,20 @@ func (e *Engine) Expansions() int64 { return e.expansions.Load() }
 // this is proportional to affected transitions, not state out-degree.
 func (e *Engine) GuardEvals() int64 { return e.guardEvals.Load() }
 
-// OpsRegistered returns how many port operations have ever been accepted
-// for pending (a monotonic count; completed operations stay counted).
-// Deterministic test drivers use it to sequence op arrival order across
-// goroutines without sleeping.
-func (e *Engine) OpsRegistered() int64 { return e.registered.Load() }
+// Parked returns how many operations wait on the engine for a peer: each
+// is counted once its goroutine finished registering (and walking the
+// regions its fires woke) and uncounted when a fire, a break or Close
+// completes it. A completion can overtake the count of the same
+// operation, so the gauge may read one low per such operation, -1
+// included, until the owner counts it; it never reads high. Reset leaves
+// it alone: an operation released by Close may still be about to count
+// itself.
+func (e *Engine) Parked() int64 { return e.parked.Load() }
+
+// Busy reports whether a fire pass may be running or due without any task
+// operation in flight. A plain engine fires only inside its operations,
+// so it never is; see Multi.Busy.
+func (e *Engine) Busy() bool { return false }
 
 // PlansCompiled returns how many transition plans have been compiled —
 // one per distinct cluster (per joint transition of every expanded state

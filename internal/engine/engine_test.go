@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -417,7 +416,7 @@ func TestEngineCloseUnblocks(t *testing.T) {
 	go func() {
 		errc <- e.Send(a, 1)
 	}()
-	engine.WaitRegistered(t, e, 1)
+	engine.WaitParked(t, e, 1)
 	e.Close()
 	within(t, 5*time.Second, "unblock on close", func() {
 		if err := <-errc; err != engine.ErrClosed {
@@ -437,7 +436,7 @@ func TestEnginePortBusy(t *testing.T) {
 	e := newEngine(t, u, []*ca.Automaton{prim.Sync(u, a, b)}, engine.Options{})
 	parked := make(chan error, 1)
 	go func() { parked <- e.Send(a, 1) }()
-	engine.WaitRegistered(t, e, 1)
+	engine.WaitParked(t, e, 1)
 	if err := e.Send(a, 2); err != engine.ErrPortBusy {
 		t.Errorf("err = %v, want ErrPortBusy", err)
 	}
@@ -623,10 +622,7 @@ func TestStepsCountedBeforeCompletion(t *testing.T) {
 						}
 						seen <- e.Steps()
 					}()
-					// The Recv is parked once the engine has accepted it.
-					for e.OpsRegistered() < int64(2*r-1) {
-						runtime.Gosched()
-					}
+					engine.WaitParked(t, e, 1)
 					if n, err := e.SendBatch(a, vals); err != nil || n != k {
 						t.Fatalf("round %d: send %d, %v", r, n, err)
 					}

@@ -101,7 +101,6 @@ func driveFixed(t *testing.T, e *Engine, seed int64, nOps int) [][]any {
 		}
 		c := make(chan struct{})
 		done[p] = c
-		before := e.OpsRegistered()
 		go func() {
 			defer close(c)
 			if e.dirs[p] == ca.DirSource {
@@ -110,12 +109,24 @@ func driveFixed(t *testing.T, e *Engine, seed int64, nOps int) [][]any {
 				recvd[p] = append(recvd[p], v)
 			}
 		}()
-		for e.OpsRegistered() == before {
+		// Idle barrier: every operation returned or parked, read in that
+		// order (see Parked).
+		for {
+			out := int64(0)
+			for _, c := range done {
+				select {
+				case <-c:
+				default:
+					if c != nil {
+						out++
+					}
+				}
+			}
+			if out == e.Parked() {
+				break
+			}
 			runtime.Gosched()
 		}
-		// The operation registers and fires under one hold of the lock.
-		e.mu.Lock()
-		e.mu.Unlock()
 	}
 	e.Close()
 	for _, c := range done {

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -116,14 +115,11 @@ func (lm *laneMerger) drive(t testing.TB, k int) laneMergerRun {
 		for j := range vs {
 			vs[j] = fmt.Sprintf("c%d-%d", i, j)
 		}
-		base := lm.m.OpsRegistered()
 		go func() {
 			_, err := lm.m.SendBatch(p, vs)
 			errc <- err
 		}()
-		for lm.m.OpsRegistered() < base+1 {
-			runtime.Gosched()
-		}
+		engine.WaitParked(t, lm.m, int64(i+1))
 	}
 	r.Merged = make([]any, 2*k)
 	if n, err := lm.m.RecvBatch(lm.d, r.Merged); err != nil || n != 2*k {

@@ -314,12 +314,47 @@ func (m *Multi) GuardEvals() int64 {
 	return n
 }
 
-// OpsRegistered sums accepted-operation counts across the locally
-// hosted partitions.
-func (m *Multi) OpsRegistered() int64 {
+// Parked sums the parked-operation gauges of the locally hosted
+// partitions (see Engine.Parked).
+func (m *Multi) Parked() int64 {
 	var n int64
 	for _, e := range m.live() {
-		n += e.OpsRegistered()
+		n += e.Parked()
 	}
 	return n
 }
+
+// Busy reports whether a pass of some region may be running or due, or a
+// break still propagating to the siblings, while no task operation is in
+// flight. Without a runtime every pass runs inside some operation, so only
+// a propagating break counts. With one, a region's pass is due from its
+// wake-up to its end; a wake-up comes only from a fire, or from an
+// operation, and every fire counts a step first. So the run states are
+// scanned twice between two reads of Steps: if both scans find every
+// region idle and no step was counted, a pass that woke a region during
+// the first scan must have fired before it and then spanned it, and the
+// first scan would have found it. The result is exact only together with
+// an operation count read before and after it (the explorer's barrier):
+// an operation still in its register or walk can wake a region any time.
+// Frames in flight on a network transport are not seen.
+func (m *Multi) Busy() bool {
+	if m.sched == nil {
+		return m.breaking()
+	}
+	steps := m.Steps()
+	return m.running() || m.running() || m.Steps() != steps
+}
+
+// running reports whether some hosted region is queued or running, or a
+// break propagating. The counter is read after the run states, so a break
+// raised in a pass that ended before the scan reached its region is seen.
+func (m *Multi) running() bool {
+	for _, e := range m.live() {
+		if e.schedState.Load() != schedIdle {
+			return true
+		}
+	}
+	return m.breaking()
+}
+
+func (m *Multi) breaking() bool { return m.group != nil && m.group.breaking.Load() > 0 }

@@ -106,7 +106,7 @@ func TestMultiClosePropagatesToAllPartitions(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) { _, err := m.Recv(bs[i]); errs <- err }(i)
 	}
-	engine.WaitRegistered(t, m, n) // every receive is pending
+	engine.WaitParked(t, m, n) // every receive is pending
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -29,28 +29,29 @@ func fifoLane(t *testing.T) (e *Engine, a, b ca.PortID) {
 	return e, a, b
 }
 
-// WaitRegistered yields until c has accepted at least n operations — the
-// way to know an operation is pending without sleeping: registration, its
-// fire loop and the migration of an op that has to park run under one
-// hold of the engine lock, which Close, a break and a later operation on
-// the port take too. The deadline only guards against a hang. Exported
+// WaitParked yields until at least n operations are parked on c and no
+// pass of it is running or due — the way to know operations are pending
+// without sleeping. The deadline only guards against a hang. Exported
 // for the package's external tests.
-func WaitRegistered(t *testing.T, c interface{ OpsRegistered() int64 }, n int64) {
+func WaitParked(t testing.TB, c interface {
+	Parked() int64
+	Busy() bool
+}, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.OpsRegistered() < n {
+	for c.Parked() < n || c.Busy() {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d operations registered", c.OpsRegistered(), n)
+			t.Fatalf("only %d of %d operations parked", c.Parked(), n)
 		}
 		runtime.Gosched()
 	}
 }
 
-// parkedOn waits until n operations have registered and returns the op
+// parkedOn waits until one operation is parked and returns the op
 // pending on p, which must have left the scratch slot.
-func parkedOn(t *testing.T, e *Engine, p ca.PortID, n int64) *op {
+func parkedOn(t *testing.T, e *Engine, p ca.PortID) *op {
 	t.Helper()
-	WaitRegistered(t, e, n)
+	WaitParked(t, e, 1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	o := e.pend[p]
@@ -128,7 +129,7 @@ func TestOpBatchMigratesWithCursor(t *testing.T) {
 		n, err := e.SendBatch(a, vals)
 		res <- opResult{n: n, err: err}
 	}()
-	o := parkedOn(t, e, a, 1)
+	o := parkedOn(t, e, a)
 	e.mu.Lock()
 	if o.cur != 1 || len(o.vals) != 3 || &o.vals[0] != &vals[0] {
 		t.Errorf("migrated op: cur = %d, len = %d, aliases caller slice = %v; want 1, 3, true",
@@ -160,7 +161,7 @@ func TestOpScalarRecvMigratesInline(t *testing.T) {
 		v, err := e.Recv(b)
 		res <- opResult{v: v, err: err}
 	}()
-	o := parkedOn(t, e, b, 1)
+	o := parkedOn(t, e, b)
 	e.mu.Lock()
 	if len(o.vals) != 1 || &o.vals[0] != &o.inline[0] {
 		t.Error("parked scalar recv does not alias its own inline slot")
@@ -197,7 +198,7 @@ func TestOpGuardErrorFromOwnFire(t *testing.T) {
 	defer e.Close()
 	sibling := make(chan opResult, 1)
 	go func() { sibling <- opResult{err: e.Send(c, 1)} }()
-	parkedOn(t, e, c, 1)
+	parkedOn(t, e, c)
 
 	gerr := e.Send(a, 2)
 	if gerr == nil || errors.Is(gerr, ErrClosed) {
@@ -242,7 +243,7 @@ func TestOpParkedAfterMigrationFails(t *testing.T) {
 				n, err := e.RecvBatch(b, buf)
 				res <- opResult{n: n, err: err}
 			}()
-			parkedOn(t, e, b, 2) // took the buffered item inside register, then parked
+			parkedOn(t, e, b) // took the buffered item inside register, then parked
 			tc.fail(e)
 			if r := awaitOp(t, res, "parked RecvBatch"); r.n != 1 || r.err != tc.want {
 				t.Errorf("RecvBatch = %d, %v; want 1, %v", r.n, r.err, tc.want)
@@ -253,4 +254,77 @@ func TestOpParkedAfterMigrationFails(t *testing.T) {
 			checkScratchClear(t, e)
 		})
 	}
+}
+
+// TestOpParkCount pins the gauge the idle barrier reads (Parked): an
+// operation counts from the end of its registration until a fire, Close
+// or a break completes it, and not a moment longer. So an operation a
+// peer's fire completed is outstanding — neither parked nor returned —
+// until its own goroutine returns, and nothing stays counted after Close
+// or a break, a sibling region's included.
+func TestOpParkCount(t *testing.T) {
+	errBreak := errors.New("sibling broke")
+	for _, tc := range []struct {
+		name string
+		// complete finishes the parked receive and reports whether it
+		// should have delivered a value.
+		complete func(e *Engine, a ca.PortID) bool
+	}{
+		{"fire", func(e *Engine, a ca.PortID) bool { return e.Send(a, "x") == nil }},
+		{"Close", func(e *Engine, _ ca.PortID) bool { e.Close(); return false }},
+		{"break", func(e *Engine, _ ca.PortID) bool { e.breakExternal(errBreak); return false }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, a, b := fifoLane(t)
+			res := make(chan opResult, 1)
+			go func() {
+				v, err := e.Recv(b)
+				res <- opResult{v: v, err: err}
+			}()
+			WaitParked(t, e, 1)
+			delivered := tc.complete(e, a)
+			// Completed under the lock: uncounted before its goroutine
+			// can have returned.
+			if n := e.Parked(); n != 0 {
+				t.Errorf("Parked() = %d right after the completion, want 0", n)
+			}
+			if r := awaitOp(t, res, "parked Recv"); (r.err == nil) != delivered {
+				t.Errorf("Recv = %v, %v; delivered = %v", r.v, r.err, delivered)
+			}
+			if n := e.Parked(); n != 0 {
+				t.Errorf("Parked() = %d after the receive returned, want 0", n)
+			}
+		})
+	}
+	t.Run("sibling break", func(t *testing.T) {
+		u := ca.NewUniverse()
+		a, x, y, b := u.Port("a"), u.Port("x"), u.Port("y"), u.Port("b")
+		u.SetDir(a, ca.DirSource)
+		u.SetDir(b, ca.DirSink)
+		auts := []*ca.Automaton{prim.Sync(u, a, x), prim.Fifo1(u, x, y), prim.Sync(u, y, b)}
+		m, err := NewMultiRegions(u, auts, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		res := make(chan opResult, 1)
+		go func() {
+			_, err := m.Recv(b)
+			res <- opResult{err: err}
+		}()
+		WaitParked(t, m, 1)
+		// Breaking the sending region reaches the receiving one only
+		// through the propagation goroutine: Busy until it is done.
+		m.engines[m.owner[a]].breakExternal(errBreak)
+		deadline := time.Now().Add(5 * time.Second)
+		for m.Parked() != 0 || m.Busy() {
+			if time.Now().After(deadline) {
+				t.Fatalf("Parked() = %d, Busy() = %v after the break", m.Parked(), m.Busy())
+			}
+			runtime.Gosched()
+		}
+		if r := awaitOp(t, res, "parked Recv"); r.err != errBreak {
+			t.Errorf("Recv err = %v, want %v", r.err, errBreak)
+		}
+	})
 }

@@ -34,9 +34,13 @@ type Coordinator interface {
 	// fire and its fused burst, and a spliced hop counts one, as the fire
 	// loop of its relay would have.
 	GuardEvals() int64
-	// OpsRegistered reports how many port operations have ever been
-	// accepted for pending (monotonic; completions do not decrement).
-	OpsRegistered() int64
+	// Parked gauges the operations waiting for a peer, and Busy reports
+	// whether a fire pass may run or be due while none is in flight; with
+	// a count of the operations a driver started and saw return, the two
+	// make its exact idle barrier: every operation returned or parked,
+	// and no pass running or due (see Multi.Busy).
+	Parked() int64
+	Busy() bool
 }
 
 var (

@@ -230,6 +230,9 @@ type regionGroup struct {
 	// instance recycling cannot reset an engine a stale break is still
 	// about to touch.
 	breakWG sync.WaitGroup
+	// breaking counts the propagation goroutines not yet finished: they
+	// complete sibling operations with no step and no pass (Multi.Busy).
+	breaking atomic.Int32
 	// onBreak, when non-nil, is invoked (once per break_, from the
 	// propagation goroutine) so a network transport can notify the peer
 	// nodes of the failure. Set before Start returns, never mutated

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -298,14 +299,12 @@ func TestRegionsEndpointCloseParked(t *testing.T) {
 					t.Fatalf("regions %+v: want two endpoints", in)
 				}
 				parked := make(chan error, 1)
-				registered := int64(1)
 				if op == "send" {
 					for i := 0; i < 2; i++ { // fills the link
 						if err := m.Send(a, i); err != nil {
 							t.Fatal(err)
 						}
 					}
-					registered += 2
 					go func() { parked <- m.Send(a, 2) }()
 				} else {
 					go func() {
@@ -313,7 +312,7 @@ func TestRegionsEndpointCloseParked(t *testing.T) {
 						parked <- err
 					}()
 				}
-				engine.WaitRegistered(t, m, registered)
+				engine.WaitParked(t, m, 1)
 				if err := m.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -432,9 +431,11 @@ func TestRegionsClosePropagatesToPending(t *testing.T) {
 			}
 		}
 	}()
-	// The chain buffers a single item, so this many operations means
-	// both sides are streaming.
-	engine.WaitRegistered(t, m, 64)
+	// The chain buffers a single item, so this many steps means both
+	// sides are streaming.
+	for m.Steps() < 64 {
+		runtime.Gosched()
+	}
 	m.Close()
 	for i := 0; i < 2; i++ {
 		select {

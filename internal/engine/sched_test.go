@@ -113,7 +113,7 @@ func TestWorkersCloseDuringParkedRecv(t *testing.T) {
 		parked <- err
 	}()
 	// Nothing is ever sent, so once registered the recv is parked.
-	engine.WaitRegistered(t, m, 1)
+	engine.WaitParked(t, m, 1)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestSharedRuntimeCloseDuringParkedSend(t *testing.T) {
 	go func() {
 		parked <- m.Send(a, 2) // buffer full: parks
 	}()
-	engine.WaitRegistered(t, m, 2)
+	engine.WaitParked(t, m, 1)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package explore is the adversarial scenario engine: instead of
 // replaying fixed schedules over the fixed connlib connectors (the
-// first differential layer, internal/gen/diff_test.go and the root
-// partition/batch/remote tests), it *searches* for divergence between
-// execution lanes.
+// first differential layer: internal/gen's differentials and the root
+// partition/batch/remote/reuse tests, of which internal/gen's and the
+// reuse tests run on this package's driver), it *searches* for
+// divergence between execution lanes.
 //
 // It has three parts:
 //
@@ -14,14 +15,16 @@
 //     stage rejects them.
 //
 //   - A deterministic schedule explorer (schedule.go, dpor.go): port
-//     operations are launched one at a time, each confirmed through the
-//     monotonic OpsRegistered counter, with the engine driven to a
-//     fixpoint between launches — so a run is a deterministic function
-//     of (connector, schedule, seed) exactly as under gendrv's
-//     discipline, but over randomized chunked interleavings instead of
-//     one fixed order. For small schedules, DPOR-style enumeration
-//     walks the distinct launch orders (canonicalized by commuting
-//     independent ports) instead of sampling one.
+//     operations are launched one at a time, each at an exact idle
+//     barrier — every launched operation has returned or is parked, and
+//     no region pass is running or due (engine.Coordinator's Parked and
+//     Busy; no quiet window, no poll count) — so a run is a deterministic
+//     function of (connector, schedule, seed) at any processor count.
+//     The same driver runs the fixed differentials: KindSchedule gives
+//     each connlib boundary shape its schedule. For small schedules,
+//     DPOR-style enumeration walks the distinct launch orders
+//     (canonicalized by commuting independent ports) instead of
+//     sampling one.
 //
 //   - A lane matrix (lanes.go): the region-partitioned interpreted
 //     engine is the reference; the in-process generated backend
@@ -38,7 +41,8 @@
 //     connectors must reproduce the reference's sequences on every
 //     lane; choice-bearing ones give cross-structure lanes a
 //     replay-determinism check (same lane and seed, twice, exact
-//     match), with timing-dependent async lanes run as crash smoke.
+//     match), with the runtime lane — whose workers resolve choices as
+//     their passes happen to overlap — run as crash and hang smoke.
 //
 // On divergence the shrinker (shrink.go) minimizes the failing
 // connector and schedule, and Run reports a one-line repro command.

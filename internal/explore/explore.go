@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 )
 
@@ -180,10 +181,11 @@ func Run(opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// Repro renders the one-line command replaying a failing round.
+// Repro renders the one-line command replaying a failing round, on the
+// processor count it was found at.
 func Repro(roundSeed int64, opt Options, lane string) string {
-	cmd := fmt.Sprintf("go run ./cmd/reoc explore -seed %d -rounds 1 -max-ops %d -max-prims %d -backends %s",
-		roundSeed, opt.MaxOps, opt.MaxPrims, lane)
+	cmd := fmt.Sprintf("GOMAXPROCS=%d go run ./cmd/reoc explore -seed %d -rounds 1 -max-ops %d -max-prims %d -backends %s",
+		runtime.GOMAXPROCS(0), roundSeed, opt.MaxOps, opt.MaxPrims, lane)
 	if opt.Mutate {
 		cmd += " -selfcheck-mutate"
 	}
@@ -233,12 +235,12 @@ type orderStats struct {
 //     be under a monolithic composition. Those lanes instead get a
 //     replay-determinism check: the same lane, seed, and schedule run
 //     twice must agree exactly (async lanes run as crash/hang smoke
-//     only, their eager scheduling being timing-dependent by design).
+//     only: their workers resolve choices as passes happen to overlap).
 func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mutate bool) (*Failure, orderStats, error) {
 	var st orderStats
 	engSeed := deriveSeed(roundSeed, 7)
 	deterministic := bc.Conn.Deterministic()
-	ref, _, err := runLane(bc, "ref", false, order, engSeed, false)
+	ref, _, err := runLane(bc, "ref", order, engSeed, false)
 	if err != nil {
 		return nil, st, err
 	}
@@ -256,18 +258,18 @@ func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mut
 			if lane.Async {
 				// Timing-dependent scheduling on a choice-bearing connector:
 				// no sound comparison target, but the run still smokes out
-				// panics, hangs, and registration stalls.
-				if _, _, err := runLane(bc, lane.Name, true, sched, engSeed, mut); err != nil {
+				// panics and hangs.
+				if _, _, err := runLane(bc, lane.Name, sched, engSeed, mut); err != nil {
 					return nil, st, err
 				}
 				st.laneRuns++
 				continue
 			}
-			out1, _, err := runLane(bc, lane.Name, false, sched, engSeed, mut)
+			out1, _, err := runLane(bc, lane.Name, sched, engSeed, mut)
 			if err != nil {
 				return nil, st, err
 			}
-			out2, _, err := runLane(bc, lane.Name, false, sched, engSeed, mut)
+			out2, _, err := runLane(bc, lane.Name, sched, engSeed, mut)
 			if err != nil {
 				return nil, st, err
 			}
@@ -292,7 +294,7 @@ func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mut
 			st.skipped++
 			continue
 		}
-		out, genBound, err := runLane(bc, lane.Name, lane.Async, sched, engSeed, mut)
+		out, genBound, err := runLane(bc, lane.Name, sched, engSeed, mut)
 		if err != nil {
 			return nil, st, err
 		}
@@ -304,25 +306,7 @@ func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mut
 		if lane.Name == "gen" {
 			st.genRegions += genBound
 		}
-		diff := DiffOutcomes(ref, out, "ref", lane.Name, cross || lane.SkipCounters, false)
-		if diff != "" && lane.Async {
-			// Scheduling lanes get a confirmation rerun: a divergence that
-			// does not repeat was a settling artifact, not a bug.
-			confirmed := true
-			for r := 0; r < 2; r++ {
-				again, _, err := runLane(bc, lane.Name, true, sched, engSeed, mut)
-				if err != nil {
-					return nil, st, err
-				}
-				if DiffOutcomes(ref, again, "ref", lane.Name, cross || lane.SkipCounters, false) == "" {
-					confirmed = false
-					break
-				}
-			}
-			if !confirmed {
-				diff = ""
-			}
-		}
+		diff := DiffOutcomes(ref, out, "ref", lane.Name, cross, false)
 		if diff != "" {
 			return &Failure{
 				Lane:     lane.Name,
@@ -352,12 +336,12 @@ func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mut
 	return nil, st, nil
 }
 
-func runLane(bc *BuiltConn, lane string, async bool, s *Schedule, seed int64, mutate bool) (*Outcome, int, error) {
+func runLane(bc *BuiltConn, lane string, s *Schedule, seed int64, mutate bool) (*Outcome, int, error) {
 	b, closeFn, genBound, err := bc.NewBackend(lane, seed, mutate)
 	if err != nil {
 		return nil, 0, err
 	}
-	out, err := RunSchedule(b, s, RunCfg{Async: async, CloseFn: closeFn})
+	out, err := RunSchedule(b, s, closeFn)
 	if err != nil {
 		return nil, genBound, fmt.Errorf("explore: lane %s: %w", lane, err)
 	}

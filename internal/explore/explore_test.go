@@ -1,8 +1,13 @@
 package explore
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/compile"
+	"repro/internal/parser"
+	"repro/internal/sema"
 )
 
 // TestGeneratorDeterministic: the grammar is a pure function of the
@@ -174,5 +179,65 @@ func TestMutationCleanGreen(t *testing.T) {
 	}
 	if rep.Failure != nil {
 		t.Fatalf("clean run diverged:\n%s", FormatFailure(rep.Failure))
+	}
+}
+
+// TestReplayShrunkRound: the case `reoc explore -seed
+// 1540937545221695118` shrank to replays one outcome on the reference
+// lane, run after run. It read two, about evenly, while instantiation
+// numbered a medium's ports in map order: each run planned different
+// regions, with different choice streams.
+func TestReplayShrunkRound(t *testing.T) {
+	const src = `Xp(in[];out[]) =
+    prod (i:1..1) Router(x7;x1,out[2])
+    mult Filter.even(x8;x2)
+    mult prod (i:1..1) Merger(in[1],x9;out[2])
+    mult prod (i:1..1) Fifo1(x2;x3)
+    mult prod (i:1..1) Sync(x3;x4)
+    mult Router(x10;x5,out[3],x6)
+    mult SyncDrain(x11,x12;)
+    mult prod (i:1..1) Sync(x13;out[i])
+    mult Sync(x1;out[3])
+    mult Sync(x14;out[1])
+    mult prod (i:1..1) Fifo1(in[1];x7)
+    mult prod (i:1..1) Fifo1(in[i];x8)
+    mult prod (i:1..1) Fifo1(x2;x9)
+    mult prod (i:1..1) Fifo1(x3;x10)
+    mult prod (i:1..1) Fifo1(x6;x11)
+    mult prod (i:1..1) Fifo1(x4;x12)
+    mult prod (i:1..1) Fifo1(x3;x13)
+    mult prod (i:1..1) Fifo1(x5;x14)
+`
+	f, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sema.Check(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := compile.Build(info, "Xp", Funcs(), compile.Options{Simplify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := &BuiltConn{Conn: &Conn{NIn: 1, NOut: 3}, tmpl: tmpl}
+	s := &Schedule{Ops: []Op{
+		{Port: "out[2]", Cap: 1},
+		{Port: "out[1]", Cap: 1},
+		{Port: "in[1]", Send: true, Vals: []any{1000, 1001, 1002}},
+		{Port: "out[3]", Cap: 3},
+	}}
+	seed := deriveSeed(1540937545221695118, 7)
+	var first *Outcome
+	for run := 0; run < 50; run++ {
+		out, _, err := runLane(bc, "ref", s, seed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = out
+		} else if d := DiffOutcomes(first, out, "run0", fmt.Sprintf("run%d", run), false, false); d != "" {
+			t.Fatalf("replay diverged: %s", d)
+		}
 	}
 }

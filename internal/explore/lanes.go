@@ -6,7 +6,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/gen/gendrv"
 	"repro/internal/parser"
 	"repro/internal/sema"
 )
@@ -24,13 +23,29 @@ type BuiltConn struct {
 	tmpl *compile.Template
 }
 
-// Funcs returns the registered data functions every lane shares (the
-// gendrv set, so explorer cases and fixed differentials agree on
-// semantics).
+// Funcs returns the registered data functions every lane shares, and so
+// do the fixed differentials: explorer cases and those agree on
+// semantics.
 func Funcs() compile.Funcs {
-	return compile.Funcs{
-		Filters:      gendrv.TestFilters(),
-		Transformers: gendrv.TestXforms(),
+	return compile.Funcs{Filters: TestFilters(), Transformers: TestXforms()}
+}
+
+// TestFilters returns the data filters generated and differential
+// connectors reference, defined once so every run registers
+// byte-identical functions.
+func TestFilters() map[string]func(any) bool {
+	return map[string]func(any) bool{
+		"even": func(v any) bool { i, _ := v.(int); return i%2 == 0 },
+	}
+}
+
+// TestXforms returns the data transformations generated and differential
+// connectors reference. inc and double do not commute, so chained
+// applications pin composition order as well as presence.
+func TestXforms() map[string]func(any) any {
+	return map[string]func(any) any{
+		"double": func(v any) any { i, _ := v.(int); return i * 2 },
+		"inc":    func(v any) any { i, _ := v.(int); return i + 1 },
 	}
 }
 
@@ -108,14 +123,10 @@ type Lane struct {
 	// structure or scheduling, so they compare sequences on deterministic
 	// connectors and replay-determinism on choice-bearing ones.
 	Group string
-	// Async lanes fire off the caller goroutines (quiet-window settling,
-	// self-consistency retry on divergence).
+	// Async lanes fire off the caller goroutines: their workers resolve
+	// choices as passes happen to overlap, so on choice-bearing
+	// connectors they run as crash and hang smoke only.
 	Async bool
-	// SkipCounters drops Steps and GuardEvals from the comparison:
-	// scheduling lanes run region loops eagerly on their own goroutines,
-	// so internal work pending at close (and dispatch-scan counts) are
-	// timing-dependent even when every observable sequence is strict.
-	SkipCounters bool
 	// Batch re-chunks the schedule to this size (0 = reference chunking).
 	Batch int
 }
@@ -130,7 +141,7 @@ var allLanes = []Lane{
 	// differ, so it is sequence-compared on deterministic connectors
 	// only. Strict parity is the gen lane's contract. A WithWorkers pool
 	// is a private runtime on the same scheduler, so this lane covers it.
-	{Name: "runtime", Group: "single", Async: true, SkipCounters: true},
+	{Name: "runtime", Group: "single", Async: true},
 	// Re-chunking moves the engine's decision points (each op
 	// registration is a dispatch scan), so merge choices resolve at
 	// different moments even on the same RNG stream — the batch lane is
@@ -146,7 +157,7 @@ var allLanes = []Lane{
 // into the generated lane's templates (mutation self-check only).
 // genBound reports how many regions run generated dispatch (0 for
 // interpreted lanes).
-func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend, closeFn func() error, genBound int, err error) {
+func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b engine.Backend, closeFn func() error, genBound int, err error) {
 	asm, err := bc.instantiate()
 	if err != nil {
 		return nil, nil, 0, err

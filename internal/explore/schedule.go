@@ -5,23 +5,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// Backend is the structural surface the driver needs — satisfied by
-// engine.Backend (reo.Instance.Backend(), engine.NewNamed) and by the
-// instances generated packages emit.
-type Backend interface {
-	SendBatch(port string, vs []any) (int, error)
-	RecvBatch(port string, buf []any) (int, error)
-	Ports(param string) []string
-	Close() error
-	Steps() int64
-	GuardEvals() int64
-	OpsRegistered() int64
-}
+	"repro/internal/engine"
+)
 
 // Op is one schedule token: a batched operation on a boundary port.
 // Sends carry their items; receives carry a capacity.
@@ -33,17 +21,80 @@ type Op struct {
 }
 
 // Schedule is a launch-ordered list of port operations. The driver
-// launches them one at a time (each confirmed through OpsRegistered),
-// deferring a token while its port still has an incomplete operation —
-// so the realized arrival order is a deterministic function of the
-// token order and the engine's (deterministic) completion behavior.
+// launches them one at a time, each at an idle barrier, deferring a
+// token while its port still has an incomplete operation — so the
+// realized arrival order is a deterministic function of the token order
+// and the engine's (deterministic) completion behavior.
 type Schedule struct {
 	Ops []Op
 }
 
-// Tag is the item sender i moves in round r, matching gendrv.Tag so
-// sequences identify origin and order.
+// Tag is the item sender i (0-based) moves in round r; receivers see
+// these tags, so per-port sequences identify both origin and order.
 func Tag(i, r int) int { return (i+1)*1000 + r }
+
+// tags returns the items sender i moves in rounds 0..n-1.
+func tags(i, n int) []any {
+	vs := make([]any, n)
+	for r := range vs {
+		vs[r] = Tag(i, r)
+	}
+	return vs
+}
+
+// KindSchedule is the fixed schedule of a connlib boundary shape at size
+// n, moving rounds items per stream over the ports b names:
+//
+//   - many2one: one send per "in" port in array order, then one receive
+//     per "out" port sized for every item (an aggregating connector
+//     leaves it short);
+//   - one2many: one receive per "out" port sized for the whole stream
+//     (a router leaves them short), then the one "in" port's send;
+//   - many2many and gated: sends on "a", then receives on "b"; a gated
+//     connector's control vertex stays idle, its valve open;
+//   - clients: sends on "c"; receivers: receives on "c";
+//   - acqrel: alternating one-item sends on "acq" and "rel".
+//
+// Only many2one and one2many may end with a receive short, released by
+// the close that ends the run (Outcome.Deadlock).
+func KindSchedule(b engine.Backend, kind string, n, rounds int) (*Schedule, error) {
+	s := &Schedule{}
+	send := func(param string, items int) {
+		for i, port := range b.Ports(param) {
+			s.Ops = append(s.Ops, Op{Port: port, Send: true, Vals: tags(i, items)})
+		}
+	}
+	recv := func(param string, items int) {
+		for _, port := range b.Ports(param) {
+			s.Ops = append(s.Ops, Op{Port: port, Cap: items})
+		}
+	}
+	switch kind {
+	case "many2one":
+		send("in", rounds)
+		recv("out", n*rounds)
+	case "one2many":
+		recv("out", n*rounds)
+		send("in", n*rounds)
+	case "many2many", "gated":
+		send("a", rounds)
+		recv("b", rounds)
+	case "clients":
+		send("c", rounds)
+	case "receivers":
+		recv("c", rounds)
+	case "acqrel":
+		acq, rel := b.Ports("acq")[0], b.Ports("rel")[0]
+		for r := 0; r < rounds; r++ {
+			s.Ops = append(s.Ops,
+				Op{Port: acq, Send: true, Vals: []any{Tag(0, r)}},
+				Op{Port: rel, Send: true, Vals: []any{Tag(1, r)}})
+		}
+	default:
+		return nil, fmt.Errorf("explore: unknown connector kind %q", kind)
+	}
+	return s, nil
+}
 
 // GenerateSchedule samples a chunked interleaved schedule for the given
 // boundary ports: per-tail streams of seeded lengths split into chunks,
@@ -58,11 +109,7 @@ func GenerateSchedule(seed int64, ins, outs []string, maxOps int) *Schedule {
 	streams := make([][]any, len(ins))
 	for i := range ins {
 		l := r.rangeIn(0, 6)
-		vs := make([]any, l)
-		for k := range vs {
-			vs[k] = Tag(i, k)
-		}
-		streams[i] = vs
+		streams[i] = tags(i, l)
 		total += l
 	}
 	// Worst-case deliverable items per head: replicator chains can copy
@@ -193,19 +240,6 @@ type Outcome struct {
 	Broken     string // non-empty when an op failed before close (e.g. livelock)
 }
 
-// RunCfg tunes the driver for the lane's scheduling model.
-type RunCfg struct {
-	// Async marks lanes whose firing happens off the caller goroutines
-	// (WithWorkers / WithRuntime): fixpoint detection then needs a 30 ms
-	// wall-clock quiet window on top of counter stability. On the other
-	// lanes only an op goroutine can fire: the fixpoint is immediate once
-	// every launched op has returned, and otherwise needs 1 ms of quiet.
-	Async bool
-	// CloseFn overrides Backend.Close (reo instances recycle through
-	// Instance.Close rather than the coordinator's).
-	CloseFn func() error
-}
-
 type opState struct {
 	op    Op
 	moved int32
@@ -213,74 +247,57 @@ type opState struct {
 	errS  atomic.Value // string
 }
 
+// hangGuard bounds every wait of the driver: a barrier not reached in
+// that long fails the run, it is never taken for a fixpoint.
+const hangGuard = 10 * time.Second
+
 // RunSchedule drives the backend through the schedule deterministically:
 // tokens launch one at a time in order (first token whose port is free),
-// each launch confirmed via OpsRegistered, with the engine settled to a
-// fixpoint before every decision. When no token can launch and no
-// operation can complete, the run is declared deadlocked and closed;
-// pending operations then record their partial prefixes, which are part
-// of the observed behavior.
-func RunSchedule(b Backend, s *Schedule, cfg RunCfg) (*Outcome, error) {
+// each at an idle barrier — every launched operation has returned or is
+// parked, and no region pass is running or due (engine.Coordinator's
+// Parked and Busy). When no token can launch at the barrier, the run is
+// declared deadlocked if any token is left or any operation parked, and
+// closed with closeFn (b.Close when nil); pending operations then record
+// their partial prefixes, which are part of the observed behavior.
+func RunSchedule(b engine.Backend, s *Schedule, closeFn func() error) (*Outcome, error) {
+	if closeFn == nil {
+		closeFn = b.Close
+	}
 	out := &Outcome{Seqs: map[string][]string{}}
 	states := make([]*opState, 0, len(s.Ops))
 	busy := map[string]*opState{}
-	var wg sync.WaitGroup
-	launched := 0
 	pendingTok := append([]Op(nil), s.Ops...)
 
-	doneCount := func() int {
-		n := 0
+	// outstanding counts the launched operations that have not returned.
+	outstanding := func() int64 {
+		n := int64(len(states))
 		for _, st := range states {
-			n += int(atomic.LoadInt32(&st.done))
+			n -= int64(atomic.LoadInt32(&st.done))
 		}
 		return n
 	}
-	settle := func() {
-		const stablePolls = 192
-		deadline := time.Now().Add(10 * time.Second)
-		var quietSince time.Time
-		lastS, lastR, lastD := int64(-1), int64(-1), -1
-		stable := 0
-		for {
-			sNow, rNow, dNow := b.Steps(), b.OpsRegistered(), doneCount()
-			if sNow != lastS || rNow != lastR || dNow != lastD {
-				lastS, lastR, lastD = sNow, rNow, dNow
-				stable = 0
-				quietSince = time.Now()
-			} else {
-				stable++
-			}
-			if stable >= stablePolls {
-				window, nap := 30*time.Millisecond, time.Millisecond
-				if !cfg.Async {
-					if dNow == len(states) {
-						return
-					}
-					// Gosched re-runs this goroutine from the global queue
-					// before it would steal an op goroutine queued on another
-					// P, so an op that is runnable but not running looks
-					// quiet; sleeping idles this P, which then steals it.
-					window, nap = time.Millisecond, 100*time.Microsecond
-				}
-				if time.Since(quietSince) > window {
-					return
-				}
-				time.Sleep(nap)
-			}
+	// idle reads the returns before the parks, so an operation completed
+	// between the two reads counts as neither; the second read catches an
+	// operation that a pass running through the first completed.
+	idle := func() bool {
+		return outstanding() == b.Parked() && !b.Busy() && outstanding() == b.Parked()
+	}
+	wait := func(what string, cond func() bool) error {
+		deadline := time.Now().Add(hangGuard)
+		for !cond() {
 			if time.Now().After(deadline) {
-				return
+				return fmt.Errorf("explore: no %s within %v (%d of %d operations outstanding, %d parked)",
+					what, hangGuard, outstanding(), len(states), b.Parked())
 			}
 			runtime.Gosched()
 		}
+		return nil
 	}
-	launch := func(op Op) error {
+	launch := func(op Op) {
 		st := &opState{op: op}
 		states = append(states, st)
 		busy[op.Port] = st
-		base := b.OpsRegistered()
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			var n int
 			var err error
 			if op.Send {
@@ -296,26 +313,13 @@ func RunSchedule(b Backend, s *Schedule, cfg RunCfg) (*Outcome, error) {
 			}
 			atomic.StoreInt32(&st.done, 1)
 		}()
-		deadline := time.Now().Add(10 * time.Second)
-		for b.OpsRegistered() < base+1 {
-			// A token whose previous same-port op completed inside the
-			// engine but whose goroutine hasn't recorded yet can register
-			// immediately; ops on other ports cannot, so waiting here is
-			// safe only because the caller launches free ports only.
-			if atomic.LoadInt32(&st.done) == 1 {
-				break // failed fast (broken engine) without registering
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("explore: op on %q never registered", op.Port)
-			}
-			runtime.Gosched()
-		}
-		return nil
 	}
 
 	for {
-		settle()
-		// Free completed ports.
+		if err := wait("idle barrier", idle); err != nil {
+			closeFn()
+			return nil, err
+		}
 		for port, st := range busy {
 			if atomic.LoadInt32(&st.done) == 1 {
 				delete(busy, port)
@@ -333,24 +337,13 @@ func RunSchedule(b Backend, s *Schedule, cfg RunCfg) (*Outcome, error) {
 		}
 		op := pendingTok[idx]
 		pendingTok = append(pendingTok[:idx], pendingTok[idx+1:]...)
-		if err := launch(op); err != nil {
-			return nil, err
-		}
-		launched++
+		launch(op)
 	}
 
 	out.Deadlock = len(pendingTok) > 0 || len(busy) > 0
-	closeFn := cfg.CloseFn
-	if closeFn == nil {
-		closeFn = b.Close
-	}
 	_ = closeFn()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		return nil, fmt.Errorf("explore: operations failed to release after close")
+	if err := wait("release after close", func() bool { return outstanding() == 0 }); err != nil {
+		return nil, err
 	}
 
 	// Record per-port sequences in launch order; an op error before the

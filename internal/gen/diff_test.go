@@ -3,15 +3,14 @@ package gen_test
 import (
 	"fmt"
 	"regexp"
-	"runtime"
 	"testing"
 
 	"repro/internal/ca"
 	"repro/internal/compile"
 	"repro/internal/connlib"
 	"repro/internal/engine"
+	"repro/internal/explore"
 	"repro/internal/gen"
-	"repro/internal/gen/gendrv"
 	"repro/internal/parser"
 	"repro/internal/sema"
 )
@@ -20,19 +19,11 @@ import (
 // connlib connector (plus the guard/transformer connectors), a
 // region-partitioned instance whose eligible regions are bound to
 // in-process templates (gen.InProcBinder → engine.BindGen) and a plain
-// interpreted one run the same deterministic gendrv schedule with the
-// same seed, and must agree on every per-port value sequence, on Steps,
-// and on GuardEvals. Both sides live in this test binary: no Go toolchain
-// is involved.
-//
-// The comparison is strict, so the schedule has to be a deterministic
-// function of the seed on both sides. gendrv sequences launches on
-// OpsRegistered alone, which orders the *registrations* but not the
-// cross-region nudges they leave in flight: on several Ps two of those
-// race into a merging region and the interpreter disagrees with itself
-// (EarlyAsyncMerger, a few runs in a hundred). Until drivers can wait for
-// an idle engine (ROADMAP item 1) the test runs on one P, where a launch
-// runs to its next block before the driver continues.
+// interpreted one run the same deterministic schedule (explore.KindSchedule)
+// with the same seed, and must agree on every per-port value sequence, on
+// Steps, and on GuardEvals. Both sides live in this test binary: no Go
+// toolchain is involved. The explorer's driver launches each operation
+// at an idle barrier, so the comparison is strict at any processor count.
 
 const (
 	diffN      = 3
@@ -65,7 +56,7 @@ var funcConns = []struct {
 	{"GuardFold", `GuardFold(in;out) = Transformer.inc(in;m) mult Filter.even(m;out)`},
 }
 
-// kindName maps connlib boundary shapes to gendrv schedule kinds.
+// kindName maps connlib boundary shapes to explore.KindSchedule kinds.
 func kindName(k connlib.Kind) string {
 	switch k {
 	case connlib.ManyToOne:
@@ -131,8 +122,31 @@ func regionBackend(t *testing.T, tmpl *compile.Template, lengths map[string]int,
 	return engine.NewNamed(m, engine.NamedPorts(asm.U, asm.Tails), engine.NamedPorts(asm.U, asm.Heads)), eligible, *count
 }
 
+// drive runs the kind's schedule on b and fails the test on an operation
+// error, or on a receive left short where the kind allows none.
+func drive(t *testing.T, b engine.Backend, kind string, n, rounds int) *explore.Outcome {
+	t.Helper()
+	s, err := explore.KindSchedule(b, kind, n, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runSchedule(t, b, s, kind == "many2one" || kind == "one2many")
+}
+
+// runSchedule runs s on b; see drive.
+func runSchedule(t *testing.T, b engine.Backend, s *explore.Schedule, mayShort bool) *explore.Outcome {
+	t.Helper()
+	out, err := explore.RunSchedule(b, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Broken != "" || (out.Deadlock && !mayShort) {
+		t.Fatalf("run did not finish: broken %q, deadlock %v, sequences %v", out.Broken, out.Deadlock, out.Seqs)
+	}
+	return out
+}
+
 func TestInProcDifferentialConnlib(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	type diffConn struct {
 		name, kind string
 		n          int
@@ -147,7 +161,7 @@ func TestInProcDifferentialConnlib(t *testing.T) {
 			src: d.Src, def: d.DefName(), lengths: d.Lengths(diffN),
 		})
 	}
-	funcs := compile.Funcs{Filters: gendrv.TestFilters(), Transformers: gendrv.TestXforms()}
+	funcs := explore.Funcs()
 	for _, fc := range funcConns {
 		conns = append(conns, diffConn{
 			name: fc.name, kind: "one2many", n: 1,
@@ -163,10 +177,7 @@ func TestInProcDifferentialConnlib(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tmpl := buildTemplate(t, c.src, c.def, c.funcs)
 			ref, _, _ := regionBackend(t, tmpl, c.lengths, false)
-			want, err := gendrv.Drive(ref, c.kind, c.n, diffRounds)
-			if err != nil {
-				t.Fatalf("interpreted drive: %v", err)
-			}
+			want := drive(t, ref, c.kind, c.n, diffRounds)
 			gb, eligible, generated := regionBackend(t, tmpl, c.lengths, true)
 			if eligible > 0 && generated == 0 {
 				t.Errorf("none of %d single-automaton regions bound: the lane compares the interpreter to itself", eligible)
@@ -174,11 +185,7 @@ func TestInProcDifferentialConnlib(t *testing.T) {
 			if generated > 0 {
 				boundConns++
 			}
-			got, err := gendrv.Drive(gb, c.kind, c.n, diffRounds)
-			if err != nil {
-				t.Fatalf("generated drive: %v", err)
-			}
-			compareResults(t, want, got)
+			compareResults(t, want, drive(t, gb, c.kind, c.n, diffRounds))
 		})
 	}
 	if boundConns == 0 {

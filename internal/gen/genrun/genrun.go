@@ -93,7 +93,7 @@ func WithRuntime(rt *engine.Runtime) Option {
 func WithFuncs(f Funcs) Option { return func(c *config) { c.funcs = f } }
 
 // Instance is a live parametric generated connector. It satisfies the
-// engine.Backend contract (and so the gendrv differential driver's)
+// engine.Backend contract (and so the explorer's differential driver's)
 // through the embedded name-addressed adapter.
 type Instance struct {
 	*engine.Named

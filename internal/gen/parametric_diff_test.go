@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sync"
 	"testing"
 
 	reo "repro"
+	"repro/internal/engine"
+	"repro/internal/explore"
 	"repro/internal/gen"
-	"repro/internal/gen/gendrv"
 	"repro/internal/genlib/fabric"
 	"repro/internal/genlib/msfabric"
 	"repro/internal/genlib/xfab"
@@ -44,7 +43,7 @@ func TestGoldenParametric(t *testing.T) {
 		templates               int
 	}{
 		{"fabric.reo", "Fabric", "fabric", reo.Funcs{}, 1},
-		{"xfab.reo", "XFab", "xfab", reo.Funcs{Filters: gendrv.TestFilters(), Transformers: gendrv.TestXforms()}, 2},
+		{"xfab.reo", "XFab", "xfab", reo.Funcs{Filters: explore.TestFilters(), Transformers: explore.TestXforms()}, 2},
 		{"msfabric.reo", "MSFabric", "msfabric", reo.Funcs{}, 1},
 	}
 	for _, c := range cases {
@@ -93,21 +92,15 @@ func interpretedTwin(t *testing.T, reoFile, connector string, lengths map[string
 	return inst.Backend()
 }
 
-func compareResults(t *testing.T, want, got *gendrv.Result) {
+func compareResults(t *testing.T, want, got *explore.Outcome) {
 	t.Helper()
-	if !reflect.DeepEqual(want.Seqs, got.Seqs) {
-		t.Errorf("per-port sequences differ\ninterpreted: %v\ngenerated:   %v\n%s", want.Seqs, got.Seqs, reproCmd(t, diffSeed))
-	}
-	if want.Steps != got.Steps {
-		t.Errorf("steps differ: interpreted %d, generated %d\n%s", want.Steps, got.Steps, reproCmd(t, diffSeed))
-	}
-	if want.GuardEvals != got.GuardEvals {
-		t.Errorf("guard evals differ: interpreted %d, generated %d\n%s", want.GuardEvals, got.GuardEvals, reproCmd(t, diffSeed))
+	if d := explore.DiffOutcomes(want, got, "interpreted", "generated", false, false); d != "" {
+		t.Errorf("%s\n%s", d, reproCmd(t, diffSeed))
 	}
 }
 
 // TestParametricDifferentialFabric drives the parametric fabric at two
-// array lengths through the shared gendrv schedule. N=5 lies outside the
+// array lengths through the shared many2many schedule. N=5 lies outside the
 // generator's probe lengths {2,3,4}: the templates must still bind,
 // because region shapes are length-invariant.
 func TestParametricDifferentialFabric(t *testing.T) {
@@ -123,16 +116,9 @@ func TestParametricDifferentialFabric(t *testing.T) {
 			if got := gi.Regions(); got != n {
 				t.Errorf("Regions() = %d, want %d", got, n)
 			}
-			genRes, err := gendrv.Drive(gi, "many2many", n, diffRounds)
-			if err != nil {
-				t.Fatalf("generated drive: %v", err)
-			}
+			genRes := drive(t, gi, "many2many", n, diffRounds)
 			twin := interpretedTwin(t, "fabric.reo", "Fabric", map[string]int{"a": n, "b": n}, reo.Funcs{})
-			want, err := gendrv.Drive(twin, "many2many", n, diffRounds)
-			if err != nil {
-				t.Fatalf("interpreted drive: %v", err)
-			}
-			compareResults(t, want, genRes)
+			compareResults(t, drive(t, twin, "many2many", n, diffRounds), genRes)
 		})
 	}
 }
@@ -154,82 +140,40 @@ func TestParametricDifferentialFabricWorkers(t *testing.T) {
 	if got := gi.GeneratedRegions(); got != n {
 		t.Errorf("GeneratedRegions() = %d, want %d", got, n)
 	}
-	genRes, err := gendrv.Drive(gi, "many2many", n, diffRounds)
-	if err != nil {
-		t.Fatalf("generated drive: %v", err)
-	}
+	genRes := drive(t, gi, "many2many", n, diffRounds)
 	twin := interpretedTwin(t, "fabric.reo", "Fabric", map[string]int{"a": n, "b": n},
 		reo.Funcs{}, reo.WithWorkers(2))
-	want, err := gendrv.Drive(twin, "many2many", n, diffRounds)
-	if err != nil {
-		t.Fatalf("interpreted drive: %v", err)
-	}
-	if !reflect.DeepEqual(want.Seqs, genRes.Seqs) {
-		t.Errorf("per-port sequences differ\ninterpreted: %v\ngenerated:   %v\n%s", want.Seqs, genRes.Seqs, reproCmd(t, diffSeed))
-	}
-	if want.Steps != genRes.Steps {
-		t.Errorf("steps differ: interpreted %d, generated %d\n%s", want.Steps, genRes.Steps, reproCmd(t, diffSeed))
+	want := drive(t, twin, "many2many", n, diffRounds)
+	if d := explore.DiffOutcomes(want, genRes, "interpreted", "generated", false, true); d != "" {
+		t.Errorf("%s\n%s", d, reproCmd(t, diffSeed))
 	}
 }
 
 // driveXFab is the xfab schedule: receivers first (the filter drops odd
 // values, so each receiver's batch ends short and is released by the
-// close), then senders, sequenced through OpsRegistered exactly like
-// gendrv.Drive. Closing only after every sender completed makes the
-// post-close partial counts part of the deterministic observable
-// behavior.
-func driveXFab(t *testing.T, b gendrv.Backend, n, rounds int) *gendrv.Result {
+// close), then senders.
+func driveXFab(t *testing.T, b engine.Backend, rounds int) *explore.Outcome {
 	t.Helper()
-	res := &gendrv.Result{Seqs: make(map[string][]string)}
-	var mu sync.Mutex
-	record := func(port string, vals []any) {
-		mu.Lock()
-		defer mu.Unlock()
-		seq := make([]string, len(vals))
-		for i, v := range vals {
-			seq[i] = fmt.Sprint(v)
-		}
-		res.Seqs[port] = seq
-	}
-	spinUntil := func(k int64) {
-		for b.OpsRegistered() < k {
-		}
-	}
-	var recvWG, sendWG sync.WaitGroup
+	s := &explore.Schedule{}
 	for _, port := range b.Ports("b") {
-		buf := make([]any, rounds)
-		base := b.OpsRegistered()
-		recvWG.Add(1)
-		go func(port string, buf []any) {
-			defer recvWG.Done()
-			got, _ := b.RecvBatch(port, buf) // short on close: expected
-			record(port, buf[:got])
-		}(port, buf)
-		spinUntil(base + 1)
+		s.Ops = append(s.Ops, explore.Op{Port: port, Cap: rounds})
 	}
-	for i, port := range b.Ports("a") {
+	s.Ops = append(s.Ops, sends(b, "a", 0, rounds)...)
+	return runSchedule(t, b, s, true)
+}
+
+// sends returns one batched send per port of param, sender i moving
+// explore.Tag(tagBase+i, r) in round r.
+func sends(b engine.Backend, param string, tagBase, rounds int) []explore.Op {
+	var ops []explore.Op
+	for i, port := range b.Ports(param) {
 		vs := make([]any, rounds)
 		for r := range vs {
-			vs[r] = gendrv.Tag(i, r)
+			vs[r] = explore.Tag(tagBase+i, r)
 		}
-		base := b.OpsRegistered()
-		sendWG.Add(1)
-		go func(port string, vs []any) {
-			defer sendWG.Done()
-			if _, err := b.SendBatch(port, vs); err != nil {
-				t.Errorf("send %s: %v", port, err)
-				return
-			}
-			record(port, vs)
-		}(port, vs)
-		spinUntil(base + 1)
+		ops = append(ops, explore.Op{Port: port, Send: true, Vals: vs})
 	}
-	sendWG.Wait()
-	res.Steps = b.Steps()
-	res.GuardEvals = b.GuardEvals()
-	b.Close()
-	recvWG.Wait()
-	return res
+	return ops
 }
 
 // TestParametricDifferentialXFab exercises generated guards and
@@ -238,7 +182,7 @@ func driveXFab(t *testing.T, b gendrv.Backend, n, rounds int) *gendrv.Result {
 // region linked to a generated Filter region.
 func TestParametricDifferentialXFab(t *testing.T) {
 	const n = 4
-	funcs := reo.Funcs{Filters: gendrv.TestFilters(), Transformers: gendrv.TestXforms()}
+	funcs := reo.Funcs{Filters: explore.TestFilters(), Transformers: explore.TestXforms()}
 	gi, err := xfab.New(n, xfab.WithSeed(diffSeed), xfab.WithFuncs(funcs))
 	if err != nil {
 		t.Fatal(err)
@@ -247,77 +191,25 @@ func TestParametricDifferentialXFab(t *testing.T) {
 	if got := gi.GeneratedRegions(); got != 2*n {
 		t.Errorf("GeneratedRegions() = %d, want %d", got, 2*n)
 	}
-	genRes := driveXFab(t, gi, n, diffRounds)
+	genRes := driveXFab(t, gi, diffRounds)
 	twin := interpretedTwin(t, "xfab.reo", "XFab", map[string]int{"a": n, "b": n}, funcs)
-	want := driveXFab(t, twin, n, diffRounds)
+	want := driveXFab(t, twin, diffRounds)
 	compareResults(t, want, genRes)
 }
 
 // driveMSFabric scatters one batch per master outlet and gathers one per
-// slave outlet — the NPB scatter/gather round structure, sequenced
-// deterministically.
-func driveMSFabric(t *testing.T, b gendrv.Backend, rounds int) *gendrv.Result {
+// slave outlet — the NPB scatter/gather round structure.
+func driveMSFabric(t *testing.T, b engine.Backend, rounds int) *explore.Outcome {
 	t.Helper()
-	res := &gendrv.Result{Seqs: make(map[string][]string)}
-	var mu sync.Mutex
-	record := func(port string, vals []any) {
-		mu.Lock()
-		defer mu.Unlock()
-		seq := make([]string, len(vals))
-		for i, v := range vals {
-			seq[i] = fmt.Sprint(v)
-		}
-		res.Seqs[port] = seq
-	}
-	spinUntil := func(k int64) {
-		for b.OpsRegistered() < k {
-		}
-	}
-	var wg sync.WaitGroup
-	recv := func(param string) {
+	s := &explore.Schedule{}
+	for _, param := range []string{"si", "mi"} {
 		for _, port := range b.Ports(param) {
-			buf := make([]any, rounds)
-			base := b.OpsRegistered()
-			wg.Add(1)
-			go func(port string, buf []any) {
-				defer wg.Done()
-				got, err := b.RecvBatch(port, buf)
-				if err != nil {
-					t.Errorf("recv %s: %v", port, err)
-				}
-				record(port, buf[:got])
-			}(port, buf)
-			spinUntil(base + 1)
+			s.Ops = append(s.Ops, explore.Op{Port: port, Cap: rounds})
 		}
 	}
-	send := func(param string, tagBase int) {
-		for i, port := range b.Ports(param) {
-			vs := make([]any, rounds)
-			for r := range vs {
-				vs[r] = gendrv.Tag(tagBase+i, r)
-			}
-			base := b.OpsRegistered()
-			wg.Add(1)
-			go func(port string, vs []any) {
-				defer wg.Done()
-				if _, err := b.SendBatch(port, vs); err != nil {
-					t.Errorf("send %s: %v", port, err)
-					return
-				}
-				record(port, vs)
-			}(port, vs)
-			spinUntil(base + 1)
-		}
-	}
-	recv("si")
-	recv("mi")
-	send("mo", 0)
-	send("so", 100)
-	wg.Wait()
-	res.Steps = b.Steps()
-	res.GuardEvals = b.GuardEvals()
-	b.Close()
-	return res
+	s.Ops = append(s.Ops, sends(b, "mo", 0, rounds)...)
+	s.Ops = append(s.Ops, sends(b, "so", 100, rounds)...)
+	return runSchedule(t, b, s, false)
 }
 
 // TestParametricDifferentialMSFabric pins the NPB fabric shape the
@@ -344,118 +236,46 @@ func TestParametricDifferentialMSFabric(t *testing.T) {
 // delivered stream must return the partial count on close — identically
 // on both backends.
 func TestParametricBatchEdgeCases(t *testing.T) {
-	type run struct {
-		seq              []string
-		steps, guardEval int64
-	}
-	// Ragged-tail parity, modeled on the lane in-process differential:
-	// sender registration is confirmed before the receive registers, so
-	// both backends see the same arrival order.
-	ragged := func(b gendrv.Backend) run {
-		t.Helper()
-		var r run
-		a, out := b.Ports("a")[0], b.Ports("b")[0]
-		for _, k := range []int{1, 3, 8} {
-			vs := make([]any, k)
-			for j := range vs {
-				vs[j] = fmt.Sprintf("b%d-%d", k, j)
-			}
-			base := b.OpsRegistered()
-			done := make(chan error, 1)
-			go func() {
-				_, err := b.SendBatch(a, vs)
-				done <- err
-			}()
-			for b.OpsRegistered() < base+1 {
-			}
-			buf := make([]any, k)
-			got, err := b.RecvBatch(out, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range buf[:got] {
-				r.seq = append(r.seq, fmt.Sprint(v))
-			}
+	both := func(t *testing.T, s func(b engine.Backend) *explore.Schedule, mayShort bool) (want, got *explore.Outcome) {
+		gi, err := fabric.New(2, fabric.WithSeed(diffSeed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.steps, r.guardEval = b.Steps(), b.GuardEvals()
-		b.Close()
-		return r
+		got = runSchedule(t, gi, s(gi), mayShort)
+		twin := interpretedTwin(t, "fabric.reo", "Fabric", map[string]int{"a": 2, "b": 2}, reo.Funcs{})
+		want = runSchedule(t, twin, s(twin), mayShort)
+		compareResults(t, want, got)
+		return want, got
 	}
+	// Ragged-tail parity: each send batch is parked on the lane's buffer
+	// when the receive of the same size registers.
 	t.Run("ragged", func(t *testing.T) {
-		gi, err := fabric.New(2, fabric.WithSeed(diffSeed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := ragged(gi)
-		twin := interpretedTwin(t, "fabric.reo", "Fabric", map[string]int{"a": 2, "b": 2}, reo.Funcs{})
-		want := ragged(twin)
-		if !reflect.DeepEqual(want.seq, got.seq) {
-			t.Errorf("sequences differ\ninterpreted: %v\ngenerated:   %v\n%s", want.seq, got.seq, reproCmd(t, diffSeed))
-		}
-		if want.steps != got.steps {
-			t.Errorf("steps differ: interpreted %d, generated %d\n%s", want.steps, got.steps, reproCmd(t, diffSeed))
-		}
-		if want.guardEval != got.guardEval {
-			t.Errorf("guard evals differ: interpreted %d, generated %d\n%s", want.guardEval, got.guardEval, reproCmd(t, diffSeed))
-		}
+		both(t, func(b engine.Backend) *explore.Schedule {
+			s := &explore.Schedule{}
+			a, out := b.Ports("a")[0], b.Ports("b")[0]
+			for _, k := range []int{1, 3, 8} {
+				vs := make([]any, k)
+				for j := range vs {
+					vs[j] = fmt.Sprintf("b%d-%d", k, j)
+				}
+				s.Ops = append(s.Ops, explore.Op{Port: a, Send: true, Vals: vs}, explore.Op{Port: out, Cap: k})
+			}
+			return s
+		}, false)
 	})
-
 	// Partial count on close: a receive batch of 5 sees only 2 values
-	// before the connector closes; both backends must return count 2 with
-	// the same close error.
-	partial := func(b gendrv.Backend) (int, []string, string) {
-		t.Helper()
-		a, out := b.Ports("a")[0], b.Ports("b")[0]
-		type recvRes struct {
-			got int
-			err error
-		}
-		buf := make([]any, 5)
-		base := b.OpsRegistered()
-		done := make(chan recvRes, 1)
-		go func() {
-			got, err := b.RecvBatch(out, buf)
-			done <- recvRes{got, err}
-		}()
-		for b.OpsRegistered() < base+1 {
-		}
-		if _, err := b.SendBatch(a, []any{"x0", "x1"}); err != nil {
-			t.Fatal(err)
-		}
-		// Both sent values are delivered once SendBatch returned (the
-		// second item cannot be consumed before the first reached the
-		// receive batch); the close releases the short receive.
-		b.Close()
-		r := <-done
-		var seq []string
-		for _, v := range buf[:r.got] {
-			seq = append(seq, fmt.Sprint(v))
-		}
-		errStr := ""
-		if r.err != nil {
-			errStr = r.err.Error()
-		}
-		return r.got, seq, errStr
-	}
+	// before the connector closes; both backends must return count 2.
 	t.Run("partial-on-close", func(t *testing.T) {
-		gi, err := fabric.New(2, fabric.WithSeed(diffSeed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotN, gotSeq, gotErr := partial(gi)
-		twin := interpretedTwin(t, "fabric.reo", "Fabric", map[string]int{"a": 2, "b": 2}, reo.Funcs{})
-		wantN, wantSeq, wantErr := partial(twin)
-		if gotN != 2 || wantN != 2 {
-			t.Errorf("partial counts: interpreted %d, generated %d, want 2 on both", wantN, gotN)
-		}
-		if !reflect.DeepEqual(wantSeq, gotSeq) {
-			t.Errorf("partial sequences differ\ninterpreted: %v\ngenerated:   %v\n%s", wantSeq, gotSeq, reproCmd(t, diffSeed))
-		}
-		if gotErr == "" || gotErr != wantErr {
-			t.Errorf("close errors differ: interpreted %q, generated %q", wantErr, gotErr)
+		want, got := both(t, func(b engine.Backend) *explore.Schedule {
+			return &explore.Schedule{Ops: []explore.Op{
+				{Port: b.Ports("b")[0], Cap: 5},
+				{Port: b.Ports("a")[0], Send: true, Vals: []any{"x0", "x1"}},
+			}}
+		}, true)
+		for _, o := range []*explore.Outcome{want, got} {
+			if !o.Deadlock || len(o.Seqs["b[1]"]) != 2 {
+				t.Errorf("partial receive: deadlock %v, sequences %v, want 2 values released by the close", o.Deadlock, o.Seqs)
+			}
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // Command regen regenerates the checked-in connector packages of
 // internal/genlib (`reoc gen` output). It exists because the funcful
 // connectors (xfab) reference registered data functions, which the reoc
-// CLI cannot supply: generation must happen in-process with gendrv's
-// shared test functions registered, exactly as the golden test
+// CLI cannot supply: generation must happen in-process with the
+// explorer's shared test functions registered, exactly as the golden test
 // re-derives them. Run from the genlib directory (the
 // go:generate line in genlib.go does) after changing the generator or a
 // .reo source, and commit the result.
@@ -14,8 +14,8 @@ import (
 	"path/filepath"
 
 	reo "repro"
+	"repro/internal/explore"
 	"repro/internal/gen"
-	"repro/internal/gen/gendrv"
 )
 
 func main() {
@@ -24,7 +24,7 @@ func main() {
 		funcs               reo.Funcs
 	}{
 		{"fabric.reo", "Fabric", "fabric", reo.Funcs{}},
-		{"xfab.reo", "XFab", "xfab", reo.Funcs{Filters: gendrv.TestFilters(), Transformers: gendrv.TestXforms()}},
+		{"xfab.reo", "XFab", "xfab", reo.Funcs{Filters: explore.TestFilters(), Transformers: explore.TestXforms()}},
 		{"msfabric.reo", "MSFabric", "msfabric", reo.Funcs{}},
 	}
 	for _, e := range entries {

@@ -924,7 +924,8 @@ func (i *Instance) SetTracer(fn func(string)) {
 // Backend is the name-addressed runtime contract shared by interpreted
 // instances and the packages emitted by `reoc gen`: Send/Recv and their
 // batched forms keyed by boundary vertex name, parameter-to-vertex
-// lookup, and the Steps/GuardEvals/OpsRegistered statistics. Code
+// lookup, the Steps/GuardEvals statistics, and the Parked/Busy idle
+// barrier (see engine.Coordinator). Code
 // written against Backend runs unchanged on either backend — pass it
 // Instance.Backend() or a generated package's New() result.
 type Backend = engine.Backend

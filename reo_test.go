@@ -2,6 +2,7 @@ package reo_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,15 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 	case <-done:
 	case <-time.After(d):
 		t.Fatalf("timeout waiting for %s", what)
+	}
+}
+
+// waitParked returns once n operations are parked on b and no pass of it
+// is running or due: an exact barrier, not a timed one (see
+// engine.Coordinator's Parked and Busy). Wrap it in within to bound it.
+func waitParked(b reo.Backend, n int) {
+	for b.Parked() != int64(n) || b.Busy() {
+		runtime.Gosched()
 	}
 }
 

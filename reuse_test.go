@@ -1,6 +1,6 @@
 // Pooled-instance reuse tests: a recycled instance (reo.WithReuse) must
 // be observationally identical to a fresh one — same per-port value
-// sequences under the deterministic gendrv schedule, same Steps and
+// sequences under the explorer's deterministic schedules, same Steps and
 // GuardEvals — and the steady-state Connect/Close cycle must stay
 // alloc-cheap (the reason the pool exists).
 package reo_test
@@ -19,7 +19,6 @@ import (
 	reo "repro"
 	"repro/internal/connlib"
 	"repro/internal/explore"
-	"repro/internal/gen/gendrv"
 )
 
 // reuseOpts is the serving configuration: shared process runtime,
@@ -72,11 +71,14 @@ func TestReuseDifferential(t *testing.T) {
 		}
 	}
 	t.Run("sync", func(t *testing.T) {
-		var fresh *gendrv.Result
+		var fresh *explore.Outcome
 		opts := []reo.ConnectOption{reo.WithSeed(7), reo.WithPartitioning(reo.PartitionRegions), reo.WithReuse(true)}
 		recycle(t, opts, func(inst *reo.Instance, round int) {
-			res, err := gendrv.Drive(inst.Backend(), "one2many", n, rounds)
-			inst.Close()
+			sched, err := explore.KindSchedule(inst.Backend(), "one2many", n, rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := explore.RunSchedule(inst.Backend(), sched, inst.Close)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,15 +86,8 @@ func TestReuseDifferential(t *testing.T) {
 				fresh = res
 				return
 			}
-			if !reflect.DeepEqual(fresh.Seqs, res.Seqs) {
-				t.Errorf("round %d: per-port sequences differ\nfresh:    %v\nrecycled: %v\n%s",
-					round, fresh.Seqs, res.Seqs, reproCmd(t, 7))
-			}
-			if fresh.Steps != res.Steps {
-				t.Errorf("round %d: steps differ: fresh %d, recycled %d\n%s", round, fresh.Steps, res.Steps, reproCmd(t, 7))
-			}
-			if fresh.GuardEvals != res.GuardEvals {
-				t.Errorf("round %d: guard evals differ: fresh %d, recycled %d\n%s", round, fresh.GuardEvals, res.GuardEvals, reproCmd(t, 7))
+			if d := explore.DiffOutcomes(fresh, res, "fresh", "recycled", false, false); d != "" {
+				t.Errorf("round %d: %s\n%s", round, d, reproCmd(t, 7))
 			}
 		})
 	})
@@ -100,7 +95,7 @@ func TestReuseDifferential(t *testing.T) {
 		recycle(t, reuseOpts(), func(inst *reo.Instance, round int) {
 			vs := make([]any, n*rounds)
 			for i := range vs {
-				vs[i] = gendrv.Tag(0, i)
+				vs[i] = explore.Tag(0, i)
 			}
 			// Room for every value twice: a duplicate delivery must reach
 			// the check below, not block its receiver.
@@ -129,15 +124,11 @@ func TestReuseDifferential(t *testing.T) {
 					got[<-recvd]++
 				}
 			})
-			// Close only once every receiver waits in its next Recv (the
-			// send, one Recv per value and one per receiver registered): a
-			// Recv issued after Close would reach the recycled instance,
-			// since under WithReuse no port access may follow Close.
-			parked := int64(1 + len(vs) + len(inst.Inports("out")))
+			// Close only once every receiver waits in its next Recv: a Recv
+			// issued after Close would reach the recycled instance, since
+			// under WithReuse no port access may follow Close.
 			within(t, 10*time.Second, "every receiver parked", func() {
-				for inst.Backend().OpsRegistered() < parked {
-					runtime.Gosched()
-				}
+				waitParked(inst.Backend(), len(inst.Inports("out")))
 			})
 			inst.Close()
 			wg.Wait()
@@ -356,7 +347,7 @@ func TestReuseExploreSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explorer corpus run")
 	}
-	funcs := reo.Funcs{Filters: gendrv.TestFilters(), Transformers: gendrv.TestXforms()}
+	funcs := reo.Funcs{Filters: explore.TestFilters(), Transformers: explore.TestXforms()}
 	const baseSeed = 2026
 	for i := 0; i < 8; i++ {
 		seed := explore.RoundSeed(baseSeed, i)
@@ -382,7 +373,7 @@ func TestReuseExploreSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: connect: %v", seed, err)
 			}
-			out, err := explore.RunSchedule(inst.Backend(), sched, explore.RunCfg{CloseFn: inst.Close})
+			out, err := explore.RunSchedule(inst.Backend(), sched, inst.Close)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
