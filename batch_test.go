@@ -68,14 +68,22 @@ func TestBatchPartialOnClose(t *testing.T) {
 	if err := inst.Outport("a").Send(7); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		// The receive below fires the buffered item and then parks with
-		// two slots unfilled; close it out.
-		waitParked(inst.Backend(), 1)
-		inst.Close()
-	}()
+	// The receive fires the buffered item and then parks with two slots
+	// unfilled; close it out.
+	type result struct {
+		n   int
+		err error
+	}
+	res := make(chan result, 1)
 	buf := make([]any, 3)
-	n, err := inst.Inport("b").RecvBatch(buf)
+	go func() {
+		n, err := inst.Inport("b").RecvBatch(buf)
+		res <- result{n, err}
+	}()
+	waitParked(t, inst.Backend(), 1)
+	inst.Close()
+	r := <-res
+	n, err := r.n, r.err
 	if err == nil {
 		t.Fatal("RecvBatch succeeded past a close")
 	}
@@ -105,7 +113,7 @@ func TestBatchEmptyAndBusy(t *testing.T) {
 	// operation on the same port must be rejected.
 	errc := make(chan error, 1)
 	go func() { errc <- out.SendBatch([]any{1, 2}) }()
-	waitParked(inst.Backend(), 1)
+	waitParked(t, inst.Backend(), 1)
 	if err := out.Send(9); err == nil {
 		t.Error("second operation on a port with a pending batch succeeded")
 	}

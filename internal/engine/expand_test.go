@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/ca"
 	"repro/internal/compile"
@@ -109,9 +109,7 @@ func driveFixed(t *testing.T, e *Engine, seed int64, nOps int) [][]any {
 				recvd[p] = append(recvd[p], v)
 			}
 		}()
-		// Idle barrier: every operation returned or parked, read in that
-		// order (see Parked).
-		for {
+		if err := AwaitIdle(e, func() int64 {
 			out := int64(0)
 			for _, c := range done {
 				select {
@@ -122,10 +120,9 @@ func driveFixed(t *testing.T, e *Engine, seed int64, nOps int) [][]any {
 					}
 				}
 			}
-			if out == e.Parked() {
-				break
-			}
-			runtime.Gosched()
+			return out
+		}, 5*time.Second); err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
 	}
 	e.Close()

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -29,21 +28,17 @@ func fifoLane(t *testing.T) (e *Engine, a, b ca.PortID) {
 	return e, a, b
 }
 
-// WaitParked yields until at least n operations are parked on c and no
-// pass of it is running or due — the way to know operations are pending
-// without sleeping. The deadline only guards against a hang. Exported
-// for the package's external tests.
+// WaitParked returns once exactly n operations are parked on c and no
+// pass of it is running or due (AwaitIdle with n outstanding) — the way
+// to know operations are pending without sleeping. Exported for the
+// package's external tests.
 func WaitParked(t testing.TB, c interface {
 	Parked() int64
 	Busy() bool
 }, n int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Parked() < n || c.Busy() {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d operations parked", c.Parked(), n)
-		}
-		runtime.Gosched()
+	if err := AwaitIdle(c, func() int64 { return n }, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -316,13 +311,7 @@ func TestOpParkCount(t *testing.T) {
 		// Breaking the sending region reaches the receiving one only
 		// through the propagation goroutine: Busy until it is done.
 		m.engines[m.owner[a]].breakExternal(errBreak)
-		deadline := time.Now().Add(5 * time.Second)
-		for m.Parked() != 0 || m.Busy() {
-			if time.Now().After(deadline) {
-				t.Fatalf("Parked() = %d, Busy() = %v after the break", m.Parked(), m.Busy())
-			}
-			runtime.Gosched()
-		}
+		WaitParked(t, m, 0)
 		if r := awaitOp(t, res, "parked Recv"); r.err != errBreak {
 			t.Errorf("Recv err = %v, want %v", r.err, errBreak)
 		}

@@ -1,6 +1,12 @@
 package engine
 
-import "repro/internal/ca"
+import (
+	"fmt"
+	"runtime"
+	"time"
+
+	"repro/internal/ca"
+)
 
 // Coordinator is the operational interface of a connector instance: what
 // ports talk to. Both Engine and Multi implement it.
@@ -47,6 +53,28 @@ var (
 	_ Coordinator = (*Engine)(nil)
 	_ Coordinator = (*Multi)(nil)
 )
+
+// AwaitIdle yields until the idle barrier holds on c: every operation a
+// driver has outstanding — started and not yet seen to return, as
+// outstanding counts them — is parked, and no pass is running or due. The
+// outstanding count is read before Parked, so an operation completed
+// between the two reads counts as neither, and again after Busy, which
+// catches one that a pass running through the first reads completed. A
+// barrier not reached within guard is an error, never taken for idleness.
+func AwaitIdle(c interface {
+	Parked() int64
+	Busy() bool
+}, outstanding func() int64, guard time.Duration) error {
+	deadline := time.Now().Add(guard)
+	for outstanding() != c.Parked() || c.Busy() || outstanding() != c.Parked() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("engine: not idle within %v (%d operations outstanding, %d parked, busy %v)",
+				guard, outstanding(), c.Parked(), c.Busy())
+		}
+		runtime.Gosched()
+	}
+	return nil
+}
 
 // Outport is a task's sending end of a connector boundary vertex
 // (the generalized Foster-Chandy model, Fig. 3 of the paper). Send blocks

@@ -433,7 +433,11 @@ func TestRegionsClosePropagatesToPending(t *testing.T) {
 	}()
 	// The chain buffers a single item, so this many steps means both
 	// sides are streaming.
+	deadline := time.Now().Add(5 * time.Second)
 	for m.Steps() < 64 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d steps in 5s: the sides are not streaming", m.Steps())
+		}
 		runtime.Gosched()
 	}
 	m.Close()

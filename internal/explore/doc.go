@@ -17,9 +17,12 @@
 //   - A deterministic schedule explorer (schedule.go, dpor.go): port
 //     operations are launched one at a time, each at an exact idle
 //     barrier — every launched operation has returned or is parked, and
-//     no region pass is running or due (engine.Coordinator's Parked and
-//     Busy; no quiet window, no poll count) — so a run is a deterministic
-//     function of (connector, schedule, seed) at any processor count.
+//     no region pass is running or due (engine.AwaitIdle over
+//     Coordinator's Parked and Busy; no quiet window, no poll count) — so
+//     a run is a deterministic function of (connector, schedule, seed) at
+//     any processor count. The operations still parked when no token can
+//     launch are released by a close; their partial prefixes and errors
+//     are part of the outcome.
 //     The same driver runs the fixed differentials: KindSchedule gives
 //     each connlib boundary shape its schedule. For small schedules,
 //     DPOR-style enumeration walks the distinct launch orders

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -238,13 +237,18 @@ type Outcome struct {
 	GuardEvals int64
 	Deadlock   bool   // closed at a fixpoint with unfinished tokens
 	Broken     string // non-empty when an op failed before close (e.g. livelock)
+	// Released lists per port, in launch order, the error each operation
+	// released by the driver's close returned ("<nil>" for none), digit
+	// runs normalized as Broken compares.
+	Released map[string][]string
 }
 
 type opState struct {
-	op    Op
-	moved int32
-	done  int32
-	errS  atomic.Value // string
+	op       Op
+	moved    int32
+	done     int32
+	errS     atomic.Value // string
+	released bool         // still outstanding when the driver closed
 }
 
 // hangGuard bounds every wait of the driver: a barrier not reached in
@@ -258,7 +262,8 @@ const hangGuard = 10 * time.Second
 // Parked and Busy). When no token can launch at the barrier, the run is
 // declared deadlocked if any token is left or any operation parked, and
 // closed with closeFn (b.Close when nil); pending operations then record
-// their partial prefixes, which are part of the observed behavior.
+// their partial prefixes and their errors (Outcome.Released), which are
+// part of the observed behavior.
 func RunSchedule(b engine.Backend, s *Schedule, closeFn func() error) (*Outcome, error) {
 	if closeFn == nil {
 		closeFn = b.Close
@@ -275,23 +280,6 @@ func RunSchedule(b engine.Backend, s *Schedule, closeFn func() error) (*Outcome,
 			n -= int64(atomic.LoadInt32(&st.done))
 		}
 		return n
-	}
-	// idle reads the returns before the parks, so an operation completed
-	// between the two reads counts as neither; the second read catches an
-	// operation that a pass running through the first completed.
-	idle := func() bool {
-		return outstanding() == b.Parked() && !b.Busy() && outstanding() == b.Parked()
-	}
-	wait := func(what string, cond func() bool) error {
-		deadline := time.Now().Add(hangGuard)
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("explore: no %s within %v (%d of %d operations outstanding, %d parked)",
-					what, hangGuard, outstanding(), len(states), b.Parked())
-			}
-			runtime.Gosched()
-		}
-		return nil
 	}
 	launch := func(op Op) {
 		st := &opState{op: op}
@@ -316,9 +304,9 @@ func RunSchedule(b engine.Backend, s *Schedule, closeFn func() error) (*Outcome,
 	}
 
 	for {
-		if err := wait("idle barrier", idle); err != nil {
+		if err := engine.AwaitIdle(b, outstanding, hangGuard); err != nil {
 			closeFn()
-			return nil, err
+			return nil, fmt.Errorf("explore: %w", err)
 		}
 		for port, st := range busy {
 			if atomic.LoadInt32(&st.done) == 1 {
@@ -341,14 +329,19 @@ func RunSchedule(b engine.Backend, s *Schedule, closeFn func() error) (*Outcome,
 	}
 
 	out.Deadlock = len(pendingTok) > 0 || len(busy) > 0
+	for _, st := range busy {
+		st.released = true // parked at the barrier, so only the close ends it
+	}
 	_ = closeFn()
-	if err := wait("release after close", func() bool { return outstanding() == 0 }); err != nil {
-		return nil, err
+	// Nothing stays parked after the close, so this barrier is every
+	// operation returned.
+	if err := engine.AwaitIdle(b, outstanding, hangGuard); err != nil {
+		return nil, fmt.Errorf("explore: after close: %w", err)
 	}
 
-	// Record per-port sequences in launch order; an op error before the
-	// driver's own close marks the run broken (close-released partials
-	// are expected and not errors).
+	// Record per-port sequences in launch order. An error of an operation
+	// that returned before the driver's own close marks the run broken;
+	// the close's partials and errors are recorded as Released.
 	for _, st := range states {
 		n := int(atomic.LoadInt32(&st.moved))
 		seq := out.Seqs[st.op.Port]
@@ -356,10 +349,17 @@ func RunSchedule(b engine.Backend, s *Schedule, closeFn func() error) (*Outcome,
 			seq = append(seq, fmt.Sprint(st.op.Vals[i]))
 		}
 		out.Seqs[st.op.Port] = seq
-		if e, _ := st.errS.Load().(string); e != "" && !out.Deadlock {
-			if out.Broken == "" {
-				out.Broken = e
+		e, _ := st.errS.Load().(string)
+		if st.released {
+			if e == "" {
+				e = "<nil>"
 			}
+			if out.Released == nil {
+				out.Released = map[string][]string{}
+			}
+			out.Released[st.op.Port] = append(out.Released[st.op.Port], normalizeBroken(e))
+		} else if e != "" && out.Broken == "" {
+			out.Broken = e
 		}
 	}
 	out.Steps = b.Steps()
@@ -391,31 +391,32 @@ func normalizeBroken(s string) string {
 // dispatch-scan count is timing-dependent).
 func DiffOutcomes(ref, got *Outcome, refName, gotName string, seqsOnly, skipGuardEvals bool) string {
 	var d []string
-	ports := map[string]bool{}
-	for p := range ref.Seqs {
-		ports[p] = true
-	}
-	for p := range got.Seqs {
-		ports[p] = true
-	}
-	var names []string
-	for p := range ports {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	for _, p := range names {
-		a, b := ref.Seqs[p], got.Seqs[p]
-		if strings.Join(a, ",") != strings.Join(b, ",") {
-			d = append(d, fmt.Sprintf("port %s: %s=[%s] %s=[%s]",
-				p, refName, strings.Join(a, ","), gotName, strings.Join(b, ",")))
+	perPort := func(what string, a, b map[string][]string) {
+		var names []string
+		for p := range a {
+			names = append(names, p)
+		}
+		for p := range b {
+			if _, ok := a[p]; !ok {
+				names = append(names, p)
+			}
+		}
+		sort.Strings(names)
+		for _, p := range names {
+			if x, y := strings.Join(a[p], ","), strings.Join(b[p], ","); x != y {
+				d = append(d, fmt.Sprintf("%s %s: %s=[%s] %s=[%s]", what, p, refName, x, gotName, y))
+			}
 		}
 	}
+	perPort("port", ref.Seqs, got.Seqs)
 	// Engine errors embed backend-dependent identifiers (partitioned
 	// universes renumber ports), so Broken compares with digit runs
 	// normalized: the error class must agree, not the raw IDs.
 	if normalizeBroken(ref.Broken) != normalizeBroken(got.Broken) {
 		d = append(d, fmt.Sprintf("broken: %s=%q %s=%q", refName, ref.Broken, gotName, got.Broken))
 	}
+	// The errors the close released, normalized when recorded.
+	perPort("released", ref.Released, got.Released)
 	if ref.Deadlock != got.Deadlock {
 		d = append(d, fmt.Sprintf("deadlock: %s=%v %s=%v", refName, ref.Deadlock, gotName, got.Deadlock))
 	}

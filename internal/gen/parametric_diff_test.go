@@ -264,7 +264,8 @@ func TestParametricBatchEdgeCases(t *testing.T) {
 		}, false)
 	})
 	// Partial count on close: a receive batch of 5 sees only 2 values
-	// before the connector closes; both backends must return count 2.
+	// before the connector closes; both backends must return count 2 with
+	// the close's error (compareResults holds them equal).
 	t.Run("partial-on-close", func(t *testing.T) {
 		want, got := both(t, func(b engine.Backend) *explore.Schedule {
 			return &explore.Schedule{Ops: []explore.Op{
@@ -275,6 +276,9 @@ func TestParametricBatchEdgeCases(t *testing.T) {
 		for _, o := range []*explore.Outcome{want, got} {
 			if !o.Deadlock || len(o.Seqs["b[1]"]) != 2 {
 				t.Errorf("partial receive: deadlock %v, sequences %v, want 2 values released by the close", o.Deadlock, o.Seqs)
+			}
+			if r := o.Released["b[1]"]; len(r) != 1 || r[0] != engine.ErrClosed.Error() {
+				t.Errorf("partial receive: released with %q, want [%q]", r, engine.ErrClosed)
 			}
 		}
 	})

@@ -2,12 +2,12 @@ package reo_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	reo "repro"
+	"repro/internal/engine"
 )
 
 const tick = 50 * time.Millisecond
@@ -23,12 +23,13 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 	}
 }
 
-// waitParked returns once n operations are parked on b and no pass of it
-// is running or due: an exact barrier, not a timed one (see
-// engine.Coordinator's Parked and Busy). Wrap it in within to bound it.
-func waitParked(b reo.Backend, n int) {
-	for b.Parked() != int64(n) || b.Busy() {
-		runtime.Gosched()
+// waitParked returns once exactly n operations are parked on b and no
+// pass of it is running or due: an exact barrier, not a timed one (see
+// engine.AwaitIdle).
+func waitParked(t *testing.T, b reo.Backend, n int) {
+	t.Helper()
+	if err := engine.AwaitIdle(b, func() int64 { return int64(n) }, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
