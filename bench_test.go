@@ -13,13 +13,13 @@
 package reo_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	reo "repro"
-	"repro/internal/bench"
 	"repro/internal/connlib"
 	"repro/internal/npb"
 )
@@ -27,33 +27,41 @@ import (
 // window is the per-iteration measurement budget for step-rate benches.
 const window = 50 * time.Millisecond
 
-func stepRate(b *testing.B, d connlib.Def, n int, ap bench.Approach) {
+// stepRate reports the steps/s of d at n under opts, one connlib.StepsIn
+// window per iteration. An approach whose static product exceeds its
+// size limit skips the benchmark (expected for large automata).
+func stepRate(b *testing.B, d connlib.Def, n int, opts ...reo.ConnectOption) {
 	b.Helper()
 	var totalSteps int64
-	var totalTime time.Duration
 	for i := 0; i < b.N; i++ {
-		steps, failed, err := bench.StepRate(d, n, ap, window)
+		steps, err := connlib.StepsIn(d, n, window, opts...)
+		if errors.Is(err, reo.ErrTooLarge) {
+			b.Skipf("%s N=%d: %v", d.Name, n, err)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if failed {
-			b.Skipf("%s N=%d: %s approach fails to compile (expected for large automata)", d.Name, n, ap.Name)
-		}
 		totalSteps += steps
-		totalTime += window
 	}
-	b.ReportMetric(float64(totalSteps)/totalTime.Seconds(), "steps/s")
+	b.ReportMetric(float64(totalSteps)/(float64(b.N)*window.Seconds()), "steps/s")
 }
 
 // BenchmarkFig12 compares the existing (static per-N, simplified) and the
 // new (parametrized + JIT) approach on the benchmark connectors. The full
 // 18×{2..64} sweep is cmd/fig12; this bench covers a representative spread.
 func BenchmarkFig12(b *testing.B) {
+	approaches := []struct {
+		name string
+		opts []reo.ConnectOption
+	}{
+		{"new", []reo.ConnectOption{reo.WithMode(reo.JIT)}},
+		{"existing", []reo.ConnectOption{reo.WithMode(reo.Static), reo.WithMaxStates(1 << 16)}},
+	}
 	for _, d := range connlib.All() {
 		for _, n := range []int{2, 8, 32} {
-			for _, ap := range []bench.Approach{bench.New(), bench.Existing(1 << 16)} {
-				b.Run(fmt.Sprintf("%s/N=%d/%s", d.Name, n, ap.Name), func(b *testing.B) {
-					stepRate(b, d, n, ap)
+			for _, ap := range approaches {
+				b.Run(fmt.Sprintf("%s/N=%d/%s", d.Name, n, ap.name), func(b *testing.B) {
+					stepRate(b, d, n, ap.opts...)
 				})
 			}
 		}
@@ -226,14 +234,7 @@ func BenchmarkLabelSimplify(b *testing.B) {
 	for _, n := range []int{2, 4} {
 		for _, simplify := range []bool{true, false} {
 			b.Run(fmt.Sprintf("N=%d/simplify=%v", n, simplify), func(b *testing.B) {
-				ap := bench.Approach{
-					Name: fmt.Sprintf("static-simplify=%v", simplify),
-					Opts: []reo.ConnectOption{
-						reo.WithMode(reo.Static),
-						reo.WithStaticSimplify(simplify),
-					},
-				}
-				stepRate(b, d, n, ap)
+				stepRate(b, d, n, reo.WithMode(reo.Static), reo.WithStaticSimplify(simplify))
 			})
 		}
 	}

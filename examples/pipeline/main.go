@@ -25,8 +25,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sync"
+	"time"
+
 	reo "repro"
-	"repro/internal/bench"
 )
 
 const protocol = `
@@ -67,21 +69,87 @@ func main() {
 	run(prog, *n, *items, reo.PartitionRegions, reo.WithWorkers(-1))
 
 	fmt.Printf("\n== scalar vs batched ports (%d stages, %d items) ==\n", *n, *benchItems)
-	scalarRate := throughput(*n, *benchItems, 1)
-	batchedRate := throughput(*n, *benchItems, *batch)
+	scalarRate := throughput(prog, *n, *benchItems, 1)
+	batchedRate := throughput(prog, *n, *benchItems, *batch)
 	fmt.Printf("scalar  (batch=1):   %12.0f steps/s\n", scalarRate)
 	fmt.Printf("batched (batch=%d): %12.0f steps/s  (%.1fx)\n", *batch, batchedRate, batchedRate/scalarRate)
 }
 
-// throughput runs the shared batched-pipeline workload (the same pump
-// behind BenchmarkBatchedThroughput) and returns global execution steps
-// per second.
-func throughput(n, items, batch int) float64 {
-	res, err := bench.RunBatchThroughput(n, items, batch)
+// throughput returns the global execution steps per second of one pump.
+func throughput(prog *reo.Program, n, items, batch int) float64 {
+	steps, elapsed, err := pump(prog, n, items, batch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return float64(res.Steps) / res.Elapsed.Seconds()
+	return float64(steps) / elapsed.Seconds()
+}
+
+// pump streams items through an n-stage Lanes instance, every task
+// (source, stages, sink) moving values through its port in batches of the
+// given size — batch 1 is the scalar Send/Recv case on the same engine
+// path — and returns the instance's global steps and the wall time of the
+// stream. Every task reuses one value slice for its whole run, so the
+// measured path allocates nothing.
+func pump(prog *reo.Program, n, items, batch int) (int64, time.Duration, error) {
+	lanes, err := prog.Connector("Lanes")
+	if err != nil {
+		return 0, 0, err
+	}
+	inst, err := lanes.Connect(map[string]int{"out": n, "in": n})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer inst.Close()
+
+	// chunk is the size of the next batch with done of items moved.
+	chunk := func(done int) int { return min(batch, items-done) }
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(in reo.Inport, out reo.Outport) {
+			defer wg.Done()
+			buf := make([]any, batch)
+			for done := 0; done < items; {
+				got, err := in.RecvBatch(buf[:chunk(done)])
+				if err != nil || out.SendBatch(buf[:got]) != nil {
+					return
+				}
+				done += got
+			}
+		}(inst.Inports("in")[i], inst.Outports("out")[i])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		src := inst.Outport("src")
+		vs := make([]any, batch)
+		for sent := 0; sent < items; {
+			k := chunk(sent)
+			for j := 0; j < k; j++ {
+				vs[j] = sent + j
+			}
+			if src.SendBatch(vs[:k]) != nil {
+				return
+			}
+			sent += k
+		}
+	}()
+
+	start := time.Now()
+	snk := inst.Inport("snk")
+	buf := make([]any, batch)
+	for got := 0; got < items; {
+		m, err := snk.RecvBatch(buf[:chunk(got)])
+		if err != nil {
+			return 0, 0, err
+		}
+		got += m
+	}
+	elapsed := time.Since(start)
+	steps := inst.Steps()
+	inst.Close()
+	wg.Wait()
+	return steps, elapsed, nil
 }
 
 func run(prog *reo.Program, n, items int, mode reo.PartitionMode, extra ...reo.ConnectOption) {

@@ -1,7 +1,9 @@
 package connlib_test
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,9 +11,16 @@ import (
 
 	reo "repro"
 	"repro/internal/connlib"
+	"repro/internal/engine"
 )
 
-const tick = 50 * time.Millisecond
+// progressSteps is the step count a driven connector must reach. Every
+// connector reaches it in milliseconds, also at N = 40 under the race
+// detector; hangGuard only bounds a run that stopped firing.
+const (
+	progressSteps = 1000
+	hangGuard     = 30 * time.Second
+)
 
 func within(t *testing.T, d time.Duration, what string, f func()) {
 	t.Helper()
@@ -38,6 +47,52 @@ func connect(t *testing.T, name string, n int, opts ...reo.ConnectOption) *reo.I
 	return inst
 }
 
+// driveToProgress connects d at n and drives it in batches of batch
+// until it has fired progressSteps global steps, failing with the count
+// reached if that takes longer than hangGuard; then it closes the
+// instance and waits for the driver's tasks.
+func driveToProgress(t *testing.T, d connlib.Def, n, batch int, opts ...reo.ConnectOption) {
+	t.Helper()
+	inst, err := d.Connect(n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := connlib.DriveBatched(d, inst, n, batch)
+	defer wait()
+	defer inst.Close()
+	deadline := time.Now().Add(hangGuard)
+	for inst.Steps() < progressSteps {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d global steps within %v", inst.Steps(), progressSteps, hangGuard)
+		}
+		runtime.Gosched()
+	}
+}
+
+// inFlight counts a test's port operations that have started and not yet
+// returned, for the idle barrier.
+type inFlight struct{ n atomic.Int64 }
+
+// goOp runs op on a goroutine of its own, counted until it returns.
+func (f *inFlight) goOp(op func()) {
+	f.n.Add(1)
+	go func() {
+		defer f.n.Add(-1)
+		op()
+	}()
+}
+
+// idle returns once every counted operation is parked on inst and no pass
+// is running or due (engine.AwaitIdle): from then on nothing fires until
+// a task acts, so a counted operation that has not returned is one the
+// protocol blocks.
+func (f *inFlight) idle(t *testing.T, inst *reo.Instance) {
+	t.Helper()
+	if err := engine.AwaitIdle(inst.Backend(), f.n.Load, hangGuard); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAllCompileAndConnect smoke-tests every benchmark connector at
 // several N in JIT mode, and at small N in all modes.
 func TestAllCompileAndConnect(t *testing.T) {
@@ -61,26 +116,15 @@ func TestAllCompileAndConnect(t *testing.T) {
 	}
 }
 
-// TestAllDriversMakeProgress runs the benchmark driver briefly on every
-// connector and checks global steps accumulate — the liveness property
-// underlying Fig. 12's metric.
+// TestAllDriversMakeProgress runs the benchmark driver on every
+// connector until it has fired progressSteps global steps — the liveness
+// property underlying Fig. 12's metric.
 func TestAllDriversMakeProgress(t *testing.T) {
 	for _, d := range connlib.All() {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			t.Parallel()
-			inst, err := d.Connect(4, reo.WithSeed(11))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wait := connlib.Drive(d, inst, 4)
-			time.Sleep(200 * time.Millisecond)
-			steps := inst.Steps()
-			inst.Close()
-			wait()
-			if steps == 0 {
-				t.Errorf("%s made no global steps", d.Name)
-			}
+			driveToProgress(t, d, 4, 1, reo.WithSeed(11))
 		})
 	}
 }
@@ -94,18 +138,7 @@ func TestBatchedDriversMakeProgress(t *testing.T) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			t.Parallel()
-			inst, err := d.Connect(4, reo.WithSeed(11))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wait := connlib.DriveBatched(d, inst, 4, 8)
-			time.Sleep(200 * time.Millisecond)
-			steps := inst.Steps()
-			inst.Close()
-			wait()
-			if steps == 0 {
-				t.Errorf("%s made no global steps under batched driving", d.Name)
-			}
+			driveToProgress(t, d, 4, 8, reo.WithSeed(11))
 		})
 	}
 }
@@ -121,19 +154,30 @@ func TestLargeNAcrossWordBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := d.Connect(40, reo.WithSeed(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wait := connlib.Drive(d, inst, 40)
-			time.Sleep(150 * time.Millisecond)
-			steps := inst.Steps()
-			inst.Close()
-			wait()
-			if steps == 0 {
-				t.Error("no steps at N=40")
-			}
+			driveToProgress(t, d, 40, 1, reo.WithSeed(1))
 		})
+	}
+}
+
+// TestStepsIn: the Fig. 12 window counts the steps a driven connector
+// fires in it, and a connector that does not connect reports the Connect
+// error instead of a count.
+func TestStepsIn(t *testing.T) {
+	d, err := connlib.ByName("Merger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := connlib.StepsIn(d, 3, 100*time.Millisecond); err != nil || steps == 0 {
+		t.Fatalf("StepsIn = %d, %v; want steps", steps, err)
+	}
+	d, err = connlib.ByName("EarlyAsyncMerger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2^24 states cannot fit in 1024.
+	_, err = connlib.StepsIn(d, 24, time.Millisecond, reo.WithMode(reo.Static), reo.WithMaxStates(1024))
+	if !errors.Is(err, reo.ErrTooLarge) {
+		t.Fatalf("StepsIn on a too-large static product: err = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -185,6 +229,7 @@ func TestRouterExclusiveDelivery(t *testing.T) {
 	ins := inst.Inports("out")
 	const total = 30
 	var delivered atomic.Int64
+	all := make(chan struct{})
 	within(t, 20*time.Second, "route", func() {
 		var wg sync.WaitGroup
 		for _, in := range ins {
@@ -195,7 +240,9 @@ func TestRouterExclusiveDelivery(t *testing.T) {
 					if _, err := in.Recv(); err != nil {
 						return
 					}
-					delivered.Add(1)
+					if delivered.Add(1) == total {
+						close(all)
+					}
 				}
 			}(in)
 		}
@@ -204,9 +251,7 @@ func TestRouterExclusiveDelivery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for delivered.Load() < total {
-			time.Sleep(5 * time.Millisecond)
-		}
+		<-all
 		inst.Close()
 		wg.Wait()
 	})
@@ -250,12 +295,14 @@ func TestLateAsyncMergerSingleBuffer(t *testing.T) {
 		}
 	})
 	// Second send must block: the single shared fifo slot is taken.
+	var ops inFlight
 	second := make(chan struct{})
-	go func() { outs[1].Send("b"); close(second) }()
+	ops.goOp(func() { outs[1].Send("b"); close(second) })
+	ops.idle(t, inst)
 	select {
 	case <-second:
 		t.Fatal("second send completed with full shared buffer")
-	case <-time.After(tick):
+	default:
 	}
 	within(t, 5*time.Second, "drain frees buffer", func() {
 		if v, err := inst.Inport("out").Recv(); err != nil || v != "a" {
@@ -271,22 +318,24 @@ func TestBarrierLockstep(t *testing.T) {
 	outs := inst.Outports("a")
 	ins := inst.Inports("b")
 
+	var ops inFlight
 	recvDone := make(chan int, n)
 	for i, in := range ins {
-		go func(i int, in reo.Inport) {
+		ops.goOp(func() {
 			if _, err := in.Recv(); err == nil {
 				recvDone <- i
 			}
-		}(i, in)
+		})
 	}
 	// n-1 senders: nothing may complete.
 	for i := 0; i < n-1; i++ {
-		go outs[i].Send(i)
+		ops.goOp(func() { outs[i].Send(i) })
 	}
+	ops.idle(t, inst)
 	select {
 	case i := <-recvDone:
 		t.Fatalf("receiver %d completed before all senders arrived", i)
-	case <-time.After(tick):
+	default:
 	}
 	within(t, 10*time.Second, "barrier releases", func() {
 		go outs[n-1].Send(n - 1)
@@ -335,12 +384,14 @@ func TestSequencerOrdersClients(t *testing.T) {
 	outs := inst.Outports("c")
 
 	// Client 2 tries first; it must stay blocked until client 1 went.
+	var ops inFlight
 	second := make(chan struct{})
-	go func() { outs[1].Send(0); close(second) }()
+	ops.goOp(func() { outs[1].Send(0); close(second) })
+	ops.idle(t, inst)
 	select {
 	case <-second:
 		t.Fatal("client 2 completed before client 1")
-	case <-time.After(tick):
+	default:
 	}
 	within(t, 10*time.Second, "sequence 1,2,3", func() {
 		if err := outs[0].Send(0); err != nil {
@@ -442,14 +493,16 @@ func TestValveGates(t *testing.T) {
 		}
 	})
 	within(t, 5*time.Second, "close", func() { ctl.Send(0) })
+	var ops inFlight
 	blocked := make(chan struct{})
-	go func() { outs[1].Send("w"); close(blocked) }()
+	ops.goOp(func() { outs[1].Send("w"); close(blocked) })
 	recvd := make(chan struct{})
-	go func() { ins[1].Recv(); close(recvd) }()
+	ops.goOp(func() { ins[1].Recv(); close(recvd) })
+	ops.idle(t, inst)
 	select {
 	case <-recvd:
 		t.Fatal("closed valve let data through")
-	case <-time.After(tick):
+	default:
 	}
 	within(t, 10*time.Second, "reopen", func() {
 		ctl.Send(1)
@@ -463,8 +516,11 @@ func TestDiscriminatorOnePerRound(t *testing.T) {
 	inst := connect(t, "Discriminator", n)
 	outs := inst.Outports("in")
 
+	// The monitor counts as in flight from its first receive to its
+	// last, so the barrier below also waits for its next receive to park.
+	var ops inFlight
 	got := make(chan any, 4)
-	go func() {
+	ops.goOp(func() {
 		for {
 			v, err := inst.Inport("out").Recv()
 			if err != nil {
@@ -472,7 +528,7 @@ func TestDiscriminatorOnePerRound(t *testing.T) {
 			}
 			got <- v
 		}
-	}()
+	})
 	within(t, 10*time.Second, "full round", func() {
 		for i, o := range outs {
 			if err := o.Send(fmt.Sprintf("p%d", i+1)); err != nil {
@@ -486,10 +542,11 @@ func TestDiscriminatorOnePerRound(t *testing.T) {
 			t.Errorf("round output = %v, want p%d", v, n)
 		}
 	})
+	ops.idle(t, inst)
 	select {
 	case v := <-got:
 		t.Fatalf("extra output %v without a second round", v)
-	case <-time.After(tick):
+	default:
 	}
 }
 
@@ -499,12 +556,14 @@ func TestTokenRingOrder(t *testing.T) {
 	ins := inst.Inports("c")
 
 	// Client 2 alone must block: the token starts at position 1.
+	var ops inFlight
 	second := make(chan struct{})
-	go func() { ins[1].Recv(); close(second) }()
+	ops.goOp(func() { ins[1].Recv(); close(second) })
+	ops.idle(t, inst)
 	select {
 	case <-second:
 		t.Fatal("client 2 got the token first")
-	case <-time.After(tick):
+	default:
 	}
 	within(t, 10*time.Second, "token circulates", func() {
 		if _, err := ins[0].Recv(); err != nil {
@@ -525,28 +584,30 @@ func TestAsyncRoutersDeliver(t *testing.T) {
 	for _, name := range []string{"EarlyAsyncRouter", "LateAsyncRouter"} {
 		t.Run(name, func(t *testing.T) {
 			inst := connect(t, name, 3, reo.WithSeed(17))
+			// Exactly one receiver can get the value; all try.
+			var ops inFlight
+			got := make(chan any, 3)
 			within(t, 10*time.Second, "buffered route", func() {
 				if err := inst.Outport("in").Send(42); err != nil {
 					t.Fatal(err)
 				}
-				// Exactly one receiver can get it; all try.
-				got := make(chan any, 3)
 				for _, in := range inst.Inports("out") {
-					go func(in reo.Inport) {
+					ops.goOp(func() {
 						if v, err := in.Recv(); err == nil {
 							got <- v
 						}
-					}(in)
+					})
 				}
 				if v := <-got; v != 42 {
 					t.Errorf("routed value = %v", v)
 				}
-				select {
-				case v := <-got:
-					t.Errorf("value %v delivered twice", v)
-				case <-time.After(tick):
-				}
 			})
+			ops.idle(t, inst)
+			select {
+			case v := <-got:
+				t.Errorf("value %v delivered twice", v)
+			default:
+			}
 		})
 	}
 }

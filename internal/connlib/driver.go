@@ -2,6 +2,7 @@ package connlib
 
 import (
 	"sync"
+	"time"
 
 	reo "repro"
 )
@@ -12,6 +13,24 @@ import (
 // returned function waits for all tasks to exit; close the instance first.
 func Drive(d Def, inst *reo.Instance, n int) (wait func()) {
 	return DriveBatched(d, inst, n, 1)
+}
+
+// StepsIn is the Fig. 12 measurement: it connects d at n with opts,
+// drives it (Drive) for the window, and returns the global steps fired in
+// it, closing the instance and waiting for its tasks before it returns. A
+// Connect error — ErrTooLarge when the existing approach's static product
+// does not fit — is returned as is.
+func StepsIn(d Def, n int, window time.Duration, opts ...reo.ConnectOption) (int64, error) {
+	inst, err := d.Connect(n, opts...)
+	if err != nil {
+		return 0, err
+	}
+	wait := Drive(d, inst, n)
+	time.Sleep(window)
+	steps := inst.Steps()
+	inst.Close()
+	wait()
+	return steps, nil
 }
 
 // DriveBatched is Drive with a batching degree: every plain sender and

@@ -241,7 +241,15 @@ func TestWorkersSchedulerDrainRace(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond)
+	// Each lane buffers two values, so this many steps means the tasks
+	// are streaming when Close lands.
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Steps() < 256 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d steps in 5s: the lanes are not streaming", m.Steps())
+		}
+		runtime.Gosched()
+	}
 	m.Close()
 	wg.Wait()
 	close(errs)

@@ -46,6 +46,16 @@
 //     replay-determinism check (same lane and seed, twice, exact
 //     match), with the runtime lane — whose workers resolve choices as
 //     their passes happen to overlap — run as crash and hang smoke.
+//     A lane-run is skipped, not compared, when it or the reference
+//     broke on a lazy connector error (reached or not depending on
+//     transition order across structures), or when the lane's backend
+//     exceeds its size limit (the aot lane composes at most 2^14 states
+//     ahead of time); Report.Skipped counts both, and the round's other
+//     lanes still run.
+//
+// An error that ends a round instead (a backend that cannot be built for
+// another reason, a schedule that hangs past its guard) names the round
+// seed and lane and ends with the round's repro line.
 //
 // On divergence the shrinker (shrink.go) minimizes the failing
 // connector and schedule, and Run reports a one-line repro command.

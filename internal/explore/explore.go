@@ -1,9 +1,12 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+
+	"repro/internal/ca"
 )
 
 // Options configures one explorer run (the `reoc explore` flag surface).
@@ -67,7 +70,10 @@ type Report struct {
 	Rounds   int // rounds completed (including the failing one)
 	Orders   int // schedule orders executed
 	LaneRuns int // lane executions (compared, self-checked, or smoked)
-	Skipped  int // cross-structure comparisons skipped on lazy connector errors
+	// Skipped counts lane-runs not compared: cross-structure comparisons
+	// skipped on lazy connector errors, and lane-runs whose backend
+	// exceeds its lane's size limit (the aot lane's eager composition).
+	Skipped int
 	// GenRegions sums, over gen-lane runs, how many regions ran on a
 	// bound template (engine.BindGen) — the lane's real coverage.
 	GenRegions int
@@ -115,13 +121,19 @@ func SelectLanes(sel string) ([]Lane, error) {
 // schedule from the round seed, runs the reference lane, then every
 // selected lane under the comparison policy, stopping at the first
 // confirmed divergence. The returned error is only for harness
-// breakage (a found divergence is reported via Report.Failure).
+// breakage (a found divergence is reported via Report.Failure); one that
+// ends a round names its round seed, and lane if any, and ends with the
+// round's repro line.
 func Run(opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	lanes, err := SelectLanes(opt.Backends)
 	if err != nil {
 		return nil, err
 	}
+	return run(opt, lanes)
+}
+
+func run(opt Options, lanes []Lane) (*Report, error) {
 	logf := opt.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -133,7 +145,7 @@ func Run(opt Options) (*Report, error) {
 		rep.Rounds++
 		bc, err := BuildConn(roundSeed, GenConfig{MaxPrims: opt.MaxPrims})
 		if err != nil {
-			return nil, err
+			return nil, roundError(roundSeed, opt, err)
 		}
 		sampled := GenerateSchedule(deriveSeed(roundSeed, 1001), bc.Ins(), bc.Outs(), opt.MaxOps)
 
@@ -141,7 +153,7 @@ func Run(opt Options) (*Report, error) {
 		if opt.ExhaustiveTokens > 0 && sampled.TokenCount() <= opt.ExhaustiveTokens {
 			asm, err := bc.instantiate()
 			if err != nil {
-				return nil, err
+				return nil, roundError(roundSeed, opt, err)
 			}
 			orders = append(orders, EnumerateOrders(sampled, PortComponents(asm), opt.MaxOrders)...)
 		}
@@ -154,8 +166,11 @@ func Run(opt Options) (*Report, error) {
 			rep.Skipped += st.skipped
 			rep.LaneRuns += st.laneRuns
 			rep.GenRegions += st.genRegions
+			for _, e := range st.tooLarge {
+				logf("round %d: seed=%d skipped %v", i, roundSeed, e)
+			}
 			if err != nil {
-				return nil, err
+				return nil, roundError(roundSeed, opt, err)
 			}
 			if fail == nil {
 				continue
@@ -192,6 +207,29 @@ func Repro(roundSeed int64, opt Options, lane string) string {
 	return cmd
 }
 
+// roundError is an error that ends the exploration in round roundSeed:
+// it names the round seed and the lane (for a lane-run's error) and ends
+// with the line replaying the round. The reference lane runs in every
+// round, so its errors replay under the run's own backends selection.
+func roundError(roundSeed int64, opt Options, err error) error {
+	lane := opt.Backends
+	var le *laneError
+	if errors.As(err, &le) && le.lane != "ref" {
+		lane = le.lane
+	}
+	return fmt.Errorf("explore: round seed %d: %w\nrepro: %s", roundSeed, err, Repro(roundSeed, opt, lane))
+}
+
+// laneError is a lane-run that could not build its backend or finish its
+// schedule.
+type laneError struct {
+	lane string
+	err  error
+}
+
+func (e *laneError) Error() string { return "lane " + e.lane + ": " + e.err.Error() }
+func (e *laneError) Unwrap() error { return e.err }
+
 // lazyConnError recognizes the interpreter's lazy connector-level data
 // errors (ca.Automaton's undefined-read and causal-cycle messages):
 // they surface only when the failing value is actually read, which
@@ -214,6 +252,19 @@ type orderStats struct {
 	skipped    int
 	laneRuns   int
 	genRegions int
+	tooLarge   []error // the skipped lane-runs' size-limit errors, for the log
+}
+
+// skip reports whether err is a lane-run's backend exceeding the lane's
+// size limit (only the aot lane's eager composition has one), and counts
+// such a lane-run as skipped: the round's other lanes still run.
+func (st *orderStats) skip(err error) bool {
+	if !errors.Is(err, ca.ErrTooLarge) {
+		return false
+	}
+	st.skipped++
+	st.tooLarge = append(st.tooLarge, err)
+	return true
 }
 
 // runOrder runs one schedule order across the lane matrix against a
@@ -259,13 +310,18 @@ func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mut
 				// Timing-dependent scheduling on a choice-bearing connector:
 				// no sound comparison target, but the run still smokes out
 				// panics and hangs.
-				if _, _, err := runLane(bc, lane.Name, sched, engSeed, mut); err != nil {
+				if _, _, err := runLane(bc, lane.Name, sched, engSeed, mut); st.skip(err) {
+					continue
+				} else if err != nil {
 					return nil, st, err
 				}
 				st.laneRuns++
 				continue
 			}
 			out1, _, err := runLane(bc, lane.Name, sched, engSeed, mut)
+			if st.skip(err) {
+				continue
+			}
 			if err != nil {
 				return nil, st, err
 			}
@@ -295,6 +351,9 @@ func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mut
 			continue
 		}
 		out, genBound, err := runLane(bc, lane.Name, sched, engSeed, mut)
+		if st.skip(err) {
+			continue
+		}
 		if err != nil {
 			return nil, st, err
 		}
@@ -339,11 +398,11 @@ func runOrder(bc *BuiltConn, order *Schedule, lanes []Lane, roundSeed int64, mut
 func runLane(bc *BuiltConn, lane string, s *Schedule, seed int64, mutate bool) (*Outcome, int, error) {
 	b, closeFn, genBound, err := bc.NewBackend(lane, seed, mutate)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, &laneError{lane: lane, err: err}
 	}
 	out, err := RunSchedule(b, s, closeFn)
 	if err != nil {
-		return nil, genBound, fmt.Errorf("explore: lane %s: %w", lane, err)
+		return nil, genBound, &laneError{lane: lane, err: err}
 	}
 	return out, genBound, nil
 }

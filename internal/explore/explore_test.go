@@ -131,6 +131,50 @@ func TestExploreClean(t *testing.T) {
 	}
 }
 
+// TestTooLargeLaneSkipped: round -6929186186788384893 (round 190 of seed
+// 1) generates a connector whose ahead-of-time product exceeds the aot
+// lane's 2^14 states. That lane-run counts as skipped; the round's other
+// lanes still run and compare, and the exploration goes on.
+func TestTooLargeLaneSkipped(t *testing.T) {
+	const roundSeed = -6929186186788384893
+	if got := RoundSeed(1, 190); got != roundSeed {
+		t.Fatalf("RoundSeed(1, 190) = %d, want %d", got, roundSeed)
+	}
+	rep, err := Run(Options{Seed: roundSeed, Rounds: 1, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failure != nil {
+		t.Fatalf("unexpected divergence:\n%s", FormatFailure(rep.Failure))
+	}
+	if rep.Skipped < 1 {
+		t.Errorf("Skipped = %d, want the aot lane-run skipped", rep.Skipped)
+	}
+	if others := (len(allLanes) - 1) * rep.Orders; rep.LaneRuns != others {
+		t.Errorf("LaneRuns = %d over %d orders, want %d: every other lane runs", rep.LaneRuns, rep.Orders, others)
+	}
+}
+
+// TestLaneErrorCarriesRepro: a lane-run error that ends the exploration
+// names its round seed and lane and ends with the round's repro line.
+func TestLaneErrorCarriesRepro(t *testing.T) {
+	opt := Options{Seed: 1, Rounds: 1}.withDefaults()
+	_, err := run(opt, []Lane{{Name: "nosuch", Group: "single"}})
+	if err == nil {
+		t.Fatal("a lane that cannot build ended no exploration")
+	}
+	msg := err.Error()
+	for _, want := range []string{"round seed 1:", "lane nosuch:", `unknown lane "nosuch"`} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error lacks %q:\n%s", want, msg)
+		}
+	}
+	lines := strings.Split(msg, "\n")
+	if last, want := lines[len(lines)-1], "repro: "+Repro(1, opt, "nosuch"); last != want {
+		t.Errorf("last line = %q, want %q", last, want)
+	}
+}
+
 // TestMutationSelfCheck: with the candidate-ordering off-by-one
 // injected into the generated lane's templates, the explorer must find
 // a divergence — proof it can see the class of bug it exists for — and
